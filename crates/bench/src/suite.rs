@@ -7,9 +7,8 @@
 //!   `figures`-equivalent load: real Table II apps through the real
 //!   executor).
 //! * **queue** — raw event-engine schedule+drain throughput of dense
-//!   periodic ticks at 1k/100k/1M pending events, the timer wheel vs the
-//!   reference binary heap (see `iotse_sim::queue`), with the fired-event
-//!   count gated exactly.
+//!   periodic ticks at 1k/100k/1M pending events (see `iotse_sim::queue`),
+//!   with the fired-event count gated exactly.
 //! * **kernel** — per-kernel runtime of all eleven Table 2 workloads,
 //!   computing over a real sensor window sampled from [`PhysicalWorld`].
 //! * **fleet** — scaling of the scenario fleet at 1/2/4/8 worker threads.
@@ -237,44 +236,38 @@ pub fn cases() -> Vec<Case> {
 
     // (b) Raw event-engine throughput: schedule + drain n periodic ticks
     // (QUEUE_DEVICES per instant, 1 ms apart — the paper's dominant
-    // traffic shape), timer wheel vs reference heap. The engine drains to
-    // empty, so `events` is exactly n and the baseline gates it bitwise.
+    // traffic shape). The engine drains to empty, so `events` is exactly n
+    // and the baseline gates it bitwise.
     fn queue_tick(fired: &mut u64, _: &mut Engine<u64>, _: u64, _: u64) {
         *fired += 1;
     }
     for (n, label) in QUEUE_RUNGS {
-        for (backend, reference) in [("wheel", false), ("heap", true)] {
-            out.push(Case {
-                section: "queue",
-                workload: label.into(),
-                scheme: backend.into(),
-                count_allocs: true,
-                run: Box::new(move || {
-                    let mut engine: Engine<u64> = if reference {
-                        Engine::reference_with_capacity(n)
-                    } else {
-                        Engine::with_capacity(n)
-                    };
-                    engine.schedule_call_batch(
-                        "bench_tick",
-                        queue_tick,
-                        (0..n).map(|i| {
-                            let t = SimTime::ZERO
-                                + SimDuration::from_micros(1_000) * ((i / QUEUE_DEVICES) as u64);
-                            (t, i as u64, 0)
-                        }),
-                    );
-                    let mut fired = 0u64;
-                    let outcome = engine.run(&mut fired);
-                    assert!(matches!(outcome, RunOutcome::Drained));
-                    assert_eq!(fired, n as u64, "queue case lost events");
-                    CaseOutput {
-                        events: engine.events_executed(),
-                        ..CaseOutput::NONE
-                    }
-                }),
-            });
-        }
+        out.push(Case {
+            section: "queue",
+            workload: label.into(),
+            scheme: "engine".into(),
+            count_allocs: true,
+            run: Box::new(move || {
+                let mut engine: Engine<u64> = Engine::new();
+                engine.schedule_call_batch(
+                    "bench_tick",
+                    queue_tick,
+                    (0..n).map(|i| {
+                        let t = SimTime::ZERO
+                            + SimDuration::from_micros(1_000) * ((i / QUEUE_DEVICES) as u64);
+                        (t, i as u64, 0)
+                    }),
+                );
+                let mut fired = 0u64;
+                let outcome = engine.run(&mut fired);
+                assert!(matches!(outcome, RunOutcome::Drained));
+                assert_eq!(fired, n as u64, "queue case lost events");
+                CaseOutput {
+                    events: engine.events_executed(),
+                    ..CaseOutput::NONE
+                }
+            }),
+        });
     }
 
     // (c) Per-kernel runtimes for all eleven Table 2 workloads.
@@ -608,7 +601,7 @@ mod tests {
         );
         assert_eq!(
             cases.iter().filter(|c| c.section == "queue").count(),
-            QUEUE_RUNGS.len() * 2 // wheel + reference heap per rung
+            QUEUE_RUNGS.len()
         );
         assert_eq!(
             cases.iter().filter(|c| c.section == "kernel").count(),
@@ -646,17 +639,14 @@ mod tests {
     }
 
     #[test]
-    fn queue_cases_fire_every_scheduled_event_on_both_backends() {
-        let mut queue_cases: Vec<_> = cases()
+    fn queue_case_fires_every_scheduled_event() {
+        let mut case = cases()
             .into_iter()
-            .filter(|c| c.section == "queue" && c.workload == "pending-1k")
-            .collect();
-        assert_eq!(queue_cases.len(), 2);
-        for case in &mut queue_cases {
-            let out = (case.run)();
-            assert_eq!(out.events, 1_000, "{}: wrong event count", case.scheme);
-            assert_eq!((case.run)(), out, "queue case must replay bitwise");
-        }
+            .find(|c| c.section == "queue" && c.workload == "pending-1k")
+            .expect("pending-1k queue case");
+        let out = (case.run)();
+        assert_eq!(out.events, 1_000, "wrong event count");
+        assert_eq!((case.run)(), out, "queue case must replay bitwise");
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub struct Scenario {
     telemetry: Option<TelemetryConfig>,
     compute_cache: bool,
     faults: Vec<FaultScript>,
-    reference_engine: bool,
 }
 
 impl std::fmt::Debug for Scenario {
@@ -94,7 +93,6 @@ impl Scenario {
             telemetry: None,
             compute_cache: true,
             faults: Vec::new(),
-            reference_engine: false,
         }
     }
 
@@ -207,17 +205,6 @@ impl Scenario {
         self
     }
 
-    /// Runs the scenario on the reference binary-heap event queue instead
-    /// of the timer wheel (see [`iotse_sim::queue::EventQueue::reference`]).
-    /// Results are bitwise identical either way — the equivalence suite
-    /// pins exactly that — so this exists for the wheel-vs-heap oracle
-    /// tests and A/B benchmarks.
-    #[must_use]
-    pub fn with_reference_engine(mut self) -> Self {
-        self.reference_engine = true;
-        self
-    }
-
     /// Runs the scenario to completion.
     ///
     /// # Panics
@@ -240,7 +227,6 @@ impl Scenario {
             telemetry,
             compute_cache,
             faults,
-            reference_engine,
         } = self;
         // An inconsistent calibration is a scenario-construction bug, part
         // of run()'s documented panic contract above.
@@ -374,9 +360,9 @@ impl Scenario {
 
         // Build tick groups (BEAM merges same-rate shared sensors) and
         // schedule every tick of every window up front. Ticks go in as
-        // plain-`fn` calls (`schedule_call`) into a queue sized for the
-        // whole run, so the scheduling phase never touches the allocator
-        // per tick.
+        // plain-`fn` calls, one time-ordered batch per group, so each group
+        // is one sorted run of the queue, sized exactly from the batch and
+        // never touching the allocator per tick.
         exec.groups = build_groups(&exec.apps, scheme);
         if exec.trace.is_enabled() {
             for gi in 0..exec.groups.len() {
@@ -384,30 +370,21 @@ impl Scenario {
                 exec.groups[gi].sensor_label = Some(exec.trace.intern(&name));
             }
         }
-        let total_ticks: usize = exec
-            .groups
-            .iter()
-            .map(|g| g.samples_per_window as usize * windows as usize)
-            .sum();
-        let mut engine: Engine<Exec> = if reference_engine {
-            Engine::reference_with_capacity(total_ticks)
-        } else {
-            Engine::with_capacity(total_ticks)
-        };
+        let mut engine: Engine<Exec> = Engine::new();
         for (gi, g) in exec.groups.iter().enumerate() {
             let window_len = exec.apps[g.members[0]].window_len;
-            let interval = window_len / u64::from(g.samples_per_window);
-            // One batch push per group: same (gi, w, i) order as scheduling
-            // each tick individually, so sequence numbers — and therefore
-            // same-instant pop order — are unchanged.
+            let spw = u64::from(g.samples_per_window);
+            let interval = window_len / spw;
+            // Same (gi, w, i) order as scheduling each tick individually, so
+            // sequence numbers — and therefore same-instant pop order — are
+            // unchanged. The flat index keeps the size hint exact.
             engine.schedule_call_batch(
                 "tick",
                 tick_trampoline,
-                (0..windows).flat_map(|w| {
-                    (0..g.samples_per_window).map(move |i| {
-                        let t = SimTime::ZERO + window_len * u64::from(w) + interval * u64::from(i);
-                        (t, gi as u64, u64::from(w))
-                    })
+                (0..u64::from(windows) * spw).map(|k| {
+                    let (w, i) = (k / spw, k % spw);
+                    let t = SimTime::ZERO + window_len * w + interval * i;
+                    (t, gi as u64, w)
                 }),
             );
         }

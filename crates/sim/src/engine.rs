@@ -95,39 +95,13 @@ impl<S> Engine<S> {
         }
     }
 
-    /// Creates an engine whose pending-event set has room for `events`
-    /// without reallocating — callers that schedule a whole run up front
-    /// (the executor schedules every tick of every window) avoid the heap's
-    /// doubling regrowth.
+    /// Creates an engine for a run of about `events` events. Nothing is
+    /// reserved up front: the queue sizes each batch's run from the batch
+    /// itself (see [`Engine::schedule_call_batch`]), and a reservation here
+    /// would be paid for twice.
     #[must_use]
-    pub fn with_capacity(events: usize) -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::with_capacity(events),
-            executed: 0,
-            stop_requested: false,
-        }
-    }
-
-    /// Creates an engine on the reference binary-heap queue backend
-    /// ([`EventQueue::reference_with_capacity`]). The run loop, clock, and
-    /// event contract are identical to [`Engine::with_capacity`]; only the
-    /// queue's complexity profile differs. The tier-1 equivalence suite
-    /// pins full-`RunResult` byte identity between the two.
-    #[must_use]
-    pub fn reference_with_capacity(events: usize) -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::reference_with_capacity(events),
-            executed: 0,
-            stop_requested: false,
-        }
-    }
-
-    /// `true` when this engine runs on the reference heap backend.
-    #[must_use]
-    pub fn is_reference(&self) -> bool {
-        self.queue.is_reference()
+    pub fn with_capacity(_events: usize) -> Self {
+        Self::new()
     }
 
     /// The current simulated instant.
@@ -228,13 +202,13 @@ impl<S> Engine<S> {
         );
     }
 
-    /// Schedules a whole batch of plain-function events in one call,
-    /// reserving queue capacity up front (via
-    /// [`crate::queue::EventQueue::push_batch`]) so a dense warm-up schedule
-    /// — the executor schedules every tick of every window before the run
-    /// starts — never regrows the heap mid-loop. Firing order is identical
-    /// to calling [`Engine::schedule_call`] once per `(time, a, b)` tuple in
-    /// iteration order.
+    /// Schedules a whole batch of plain-function events in one call, as
+    /// one sorted run of the queue sized from the iterator's size hint
+    /// (see [`crate::queue::EventQueue::push_batch`]). The executor
+    /// schedules every tick of a sensor group this way, in time order, so
+    /// a whole run's schedule is a few runs that never regrow. Firing
+    /// order is identical to calling [`Engine::schedule_call`] once per
+    /// `(time, a, b)` tuple in iteration order.
     ///
     /// # Panics
     ///
@@ -297,12 +271,12 @@ impl<S> Engine<S> {
     ///
     /// Same-tick entries are batch-drained: the loop peeks the frontier
     /// time once per tick and then pops with
-    /// [`crate::queue::EventQueue::pop_at`] until the tick is exhausted —
-    /// one slot visit fires the whole tick instead of a peek/pop pair per
-    /// event. Events a handler schedules *at the current tick* join the
-    /// same drain (they get higher seqs, so they fire after everything
-    /// already pending at that tick), which is exactly the order the
-    /// pop-per-event loop produced.
+    /// [`crate::queue::EventQueue::pop_at`] until the tick is exhausted,
+    /// so the horizon check runs once per tick, not once per event.
+    /// Events a handler schedules *at the current tick* join the same
+    /// drain (they get higher seqs, so they fire after everything already
+    /// pending at that tick), which is exactly the order the pop-per-event
+    /// loop produced.
     // iotse-lint: hot-path
     pub fn run_until(&mut self, state: &mut S, horizon: SimTime) -> RunOutcome {
         self.stop_requested = false;

@@ -10,8 +10,7 @@
 //!   integer-nanosecond clock types.
 //! * [`queue`] — the pending-event set with deterministic FIFO tie-breaking.
 //! * [`engine`] — the [`Engine`] execution loop.
-//! * [`stats`] — counters, streaming moments, histograms, time-weighted
-//!   averages.
+//! * [`stats`] — streaming moments and fixed-bucket histograms.
 //! * [`metrics`] — deterministic registry of named counters, gauges and
 //!   histograms, snapshotable to a stable-ordered report.
 //! * [`trace`] — structured execution traces: hierarchical spans with typed

@@ -3,72 +3,6 @@
 //! Everything here is plain data — no interior mutability, no background
 //! threads — so statistics never perturb determinism.
 
-use std::fmt;
-
-use crate::time::{SimDuration, SimTime};
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use iotse_sim::stats::Counter;
-///
-/// let mut interrupts = Counter::new("interrupts");
-/// interrupts.add(999);
-/// interrupts.incr();
-/// assert_eq!(interrupts.value(), 1000);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a diagnostic name.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    #[must_use]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Diagnostic name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
-
 /// Streaming mean/variance/min/max over `f64` observations
 /// (Welford's algorithm — numerically stable, O(1) memory).
 ///
@@ -278,105 +212,9 @@ impl Histogram {
     }
 }
 
-/// Time-weighted accumulator: tracks how long a quantity held each value,
-/// yielding exact time-weighted averages (e.g. average power over a run).
-///
-/// # Examples
-///
-/// ```
-/// use iotse_sim::stats::TimeWeighted;
-/// use iotse_sim::time::SimTime;
-///
-/// let mut w = TimeWeighted::new(SimTime::ZERO, 5.0);
-/// w.set(SimTime::from_millis(2), 1.0); // 5.0 held for 2 ms
-/// w.finish(SimTime::from_millis(4));   // 1.0 held for 2 ms
-/// assert_eq!(w.time_weighted_mean(), 3.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeWeighted {
-    last_change: SimTime,
-    current: f64,
-    weighted_sum: f64, // value × seconds
-    elapsed: SimDuration,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `start` with initial value `value`.
-    #[must_use]
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_change: start,
-            current: value,
-            weighted_sum: 0.0,
-            elapsed: SimDuration::ZERO,
-        }
-    }
-
-    /// Updates the value at instant `now`, accumulating the span the previous
-    /// value was held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous update.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let held = now.duration_since(self.last_change);
-        self.weighted_sum += self.current * held.as_secs_f64();
-        self.elapsed += held;
-        self.last_change = now;
-        self.current = value;
-    }
-
-    /// Closes out the interval ending at `now` without changing the value.
-    pub fn finish(&mut self, now: SimTime) {
-        let current = self.current;
-        self.set(now, current);
-    }
-
-    /// The currently-held value.
-    #[must_use]
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Integral of value over time, in value-seconds.
-    #[must_use]
-    pub fn integral(&self) -> f64 {
-        self.weighted_sum
-    }
-
-    /// Total tracked span.
-    #[must_use]
-    pub fn elapsed(&self) -> SimDuration {
-        self.elapsed
-    }
-
-    /// Time-weighted mean over the tracked span, or the current value if no
-    /// time has elapsed.
-    #[must_use]
-    pub fn time_weighted_mean(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            self.current
-        } else {
-            self.weighted_sum / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates_and_resets() {
-        let mut c = Counter::new("x");
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-        assert_eq!(c.to_string(), "x = 5");
-        c.reset();
-        assert_eq!(c.value(), 0);
-    }
 
     #[test]
     fn online_stats_matches_closed_form() {
@@ -445,23 +283,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_bad_bounds() {
         let _ = Histogram::with_bounds(&[1.0, 1.0]);
-    }
-
-    #[test]
-    fn time_weighted_mean_is_exact() {
-        let mut w = TimeWeighted::new(SimTime::ZERO, 0.0);
-        w.set(SimTime::from_millis(10), 100.0); // 0 held 10 ms
-        w.set(SimTime::from_millis(30), 0.0); // 100 held 20 ms
-        w.finish(SimTime::from_millis(40)); // 0 held 10 ms
-                                            // (0*10 + 100*20 + 0*10) / 40 = 50
-        assert_eq!(w.time_weighted_mean(), 50.0);
-        assert_eq!(w.elapsed(), SimDuration::from_millis(40));
-        assert!((w.integral() - 100.0 * 0.020).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_zero_span_returns_current() {
-        let w = TimeWeighted::new(SimTime::ZERO, 7.5);
-        assert_eq!(w.time_weighted_mean(), 7.5);
     }
 }

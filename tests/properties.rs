@@ -6,6 +6,9 @@
 //! failing case's seed printed on assertion failure — rerun with that seed
 //! to replay the exact case.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use iotse::apps::kernels::coap::{CoapCode, CoapMessage, CoapOption, CoapType};
 use iotse::apps::kernels::jpeg;
 use iotse::apps::kernels::json::Json;
@@ -50,116 +53,178 @@ fn event_queue_orders_any_schedule() {
     });
 }
 
-/// The timer wheel is drained identically to the reference binary heap —
-/// seq-for-seq, time-for-time — under random schedule/pop interleavings
-/// mixing near-future, far-future (overflow-heap), and "past" times (at or
-/// before an already-advanced cursor), dense ties, and pushes issued
-/// mid-drain. This is the oracle that licenses swapping the engine's queue
-/// backend.
+/// The queue's contract as a plain binary heap of `(time, seq)` keys: the
+/// oracle every [`EventQueue`] drain below is checked against.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    next_seq: u64,
+}
+
+impl HeapModel {
+    fn push(&mut self, time: SimTime) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((time, seq)));
+        seq
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((time, _))| *time)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.pop().map(|Reverse(key)| key)
+    }
+
+    fn pop_at(&mut self, time: SimTime) -> Option<(SimTime, u64)> {
+        if self.peek_time() == Some(time) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+}
+
+/// A due time near `base`: mostly a few nanoseconds on (ties across runs),
+/// sometimes any magnitude up to the end of time, sometimes exactly
+/// [`SimTime::MAX`].
+fn arb_time(rng: &mut SimRng, base: SimTime) -> SimTime {
+    match rng.gen_range(0..10u32) {
+        0..=5 => base.saturating_add(SimDuration::from_nanos(rng.gen_range(0..4u64))),
+        6..=8 => {
+            let magnitude = rng.gen_range(0..64u32);
+            base.saturating_add(SimDuration::from_nanos(
+                rng.gen_range(0..=u64::MAX >> magnitude),
+            ))
+        }
+        _ => SimTime::MAX,
+    }
+}
+
+/// Pushes a batch onto both the queue and the model. The item of every
+/// queue entry is the seq the model assigned, so a drain checks both.
+/// Half the batches are sorted (one run); the rest step back in time at
+/// random and split into several runs.
+fn push_arb_batch(rng: &mut SimRng, q: &mut EventQueue<u64>, model: &mut HeapModel, base: SimTime) {
+    let sorted = rng.gen_bool(0.5);
+    let mut t = base;
+    let times: Vec<SimTime> = (0..rng.gen_range(0..40usize))
+        .map(|_| {
+            t = if sorted {
+                arb_time(rng, t)
+            } else {
+                arb_time(rng, base)
+            };
+            t
+        })
+        .collect();
+    let times_len = times.len();
+    let seqs: Vec<u64> = times.iter().map(|&t| model.push(t)).collect();
+    assert_eq!(q.push_batch(times.into_iter().zip(seqs)), times_len);
+    assert_eq!(q.scheduled_total(), model.next_seq);
+}
+
+/// Drains both to empty, entry for entry.
+fn drain_against_model(q: &mut EventQueue<u64>, model: &mut HeapModel, case: u64) {
+    while let Some((time, seq)) = model.pop() {
+        let s = q.pop().expect("queue drained early");
+        assert_eq!(
+            (s.time, s.seq, s.item),
+            (time, seq, seq),
+            "case {case}: drain diverged"
+        );
+    }
+    assert!(q.is_empty(), "case {case}: queue outlived the model");
+}
+
+/// The queue drains exactly like the heap model — seq-for-seq,
+/// time-for-time — under random interleavings of single pushes, sorted and
+/// unsorted batches, pops and `pop_at` probes. The mix covers ties between
+/// runs, batches that split into several runs, pushes that extend or
+/// reopen a drained run, and times up to `SimTime::MAX`.
 #[test]
-fn timer_wheel_matches_reference_heap_on_any_interleaving() {
+fn event_queue_matches_heap_model_on_any_interleaving() {
     forall(150, |case, rng| {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::reference();
-        // Monotone low-water mark a real engine would impose (times are
-        // never scheduled before the last popped instant). Tracking it
-        // lets the generator aim pushes *at* the frontier — the "past"
-        // (≤ cursor) paths of the wheel — without violating the contract.
+        let mut q = EventQueue::new();
+        let mut model = HeapModel::default();
+        // The last popped instant: a real engine never schedules before
+        // it, and aiming pushes at it makes ties with pending runs common.
         let mut frontier = SimTime::ZERO;
-        let ops = rng.gen_range(50..500u32);
-        for op in 0..ops {
+        for op in 0..rng.gen_range(50..500u32) {
             let roll = rng.gen_range(0..100u32);
-            if roll < 35 && !heap.is_empty() {
-                let (a, b) = (wheel.pop(), heap.pop());
-                let b = b.expect("heap non-empty");
-                let a = a.expect("wheel drained early");
+            if roll < 35 {
+                let want = model.pop();
+                let got = q.pop().map(|s| (s.time, s.seq, s.item));
                 assert_eq!(
-                    (a.time, a.seq, a.item),
-                    (b.time, b.seq, b.item),
+                    got,
+                    want.map(|(t, s)| (t, s, s)),
                     "case {case} op {op}: pop diverged"
                 );
-                frontier = a.time;
-            } else if roll < 45 && !heap.is_empty() {
+                if let Some((t, _)) = want {
+                    frontier = t;
+                }
+            } else if roll < 45 {
                 // pop_at: sometimes the due head, sometimes a miss.
-                let t = if rng.gen_bool(0.7) {
-                    heap.peek_time().expect("non-empty")
-                } else {
-                    frontier + SimDuration::from_nanos(rng.gen_range(0..1000u64))
+                let t = match model.peek_time() {
+                    Some(t) if rng.gen_bool(0.7) => t,
+                    _ => arb_time(rng, frontier),
                 };
-                let (a, b) = (wheel.pop_at(t), heap.pop_at(t));
-                match (&a, &b) {
-                    (Some(x), Some(y)) => assert_eq!(
-                        (x.time, x.seq, x.item),
-                        (y.time, y.seq, y.item),
-                        "case {case} op {op}: pop_at diverged"
-                    ),
-                    (None, None) => {}
-                    _ => panic!("case {case} op {op}: pop_at presence diverged"),
-                }
-                if let Some(s) = a {
-                    frontier = s.time;
-                }
+                let want = model.pop_at(t);
+                let got = q.pop_at(t).map(|s| (s.time, s.seq, s.item));
+                assert_eq!(
+                    got,
+                    want.map(|(t, s)| (t, s, s)),
+                    "case {case} op {op}: pop_at diverged"
+                );
+            } else if roll < 55 {
+                push_arb_batch(rng, &mut q, &mut model, frontier);
             } else {
-                // Push at a magnitude spanning every wheel level plus the
-                // overflow heap; ties land often at small magnitudes.
-                let magnitude = rng.gen_range(0..63u32);
-                let offset = rng.gen_range(0..(2u64 << magnitude));
-                let t = frontier.saturating_add(SimDuration::from_nanos(offset));
-                wheel.push(t, op);
-                heap.push(t, op);
+                let t = arb_time(rng, frontier);
+                let seq = model.push(t);
+                assert_eq!(q.push(t, seq), seq, "case {case} op {op}: seq diverged");
             }
             assert_eq!(
-                wheel.peek_time(),
-                heap.peek_time(),
+                q.peek_time(),
+                model.peek_time(),
                 "case {case} op {op}: peek diverged"
             );
-            assert_eq!(wheel.len(), heap.len(), "case {case} op {op}");
+            assert_eq!(q.len(), model.heap.len(), "case {case} op {op}");
         }
-        // Full drain must agree to the last entry.
-        while let Some(b) = heap.pop() {
-            let a = wheel.pop().expect("wheel drained early");
-            assert_eq!(
-                (a.time, a.seq, a.item),
-                (b.time, b.seq, b.item),
-                "case {case}: final drain diverged"
-            );
-        }
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+        drain_against_model(&mut q, &mut model, case);
+        assert_eq!(q.scheduled_total(), model.next_seq);
     });
 }
 
-/// Clearing either backend mid-flight preserves the shared sequence
-/// counter, and a reused queue orders a fresh schedule exactly like a new
-/// one.
+/// Clearing mid-flight keeps the sequence counter, and the cleared queue
+/// orders a fresh schedule exactly like the model.
 #[test]
-fn timer_wheel_clear_matches_reference_heap() {
+fn event_queue_clear_matches_heap_model() {
     forall(60, |case, rng| {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::reference();
-        for i in 0..rng.gen_range(1..100u64) {
-            let magnitude = rng.gen_range(1..60u32);
-            let t = SimTime::from_nanos(rng.gen_range(0..1u64 << magnitude));
-            wheel.push(t, i);
-            heap.push(t, i);
+        let mut q = EventQueue::new();
+        let mut model = HeapModel::default();
+        for _ in 0..rng.gen_range(1..6u32) {
+            push_arb_batch(rng, &mut q, &mut model, SimTime::ZERO);
         }
         for _ in 0..rng.gen_range(0..20u32) {
-            let (a, b) = (wheel.pop(), heap.pop());
-            assert_eq!(a.map(|s| (s.time, s.seq)), b.map(|s| (s.time, s.seq)));
+            let want = model.pop();
+            assert_eq!(q.pop().map(|s| (s.time, s.seq)), want, "case {case}");
         }
-        wheel.clear();
-        heap.clear();
-        assert!(wheel.is_empty() && heap.is_empty());
-        assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
-        for i in 0..rng.gen_range(1..50u64) {
-            let t = SimTime::from_nanos(rng.gen_range(0..1_000_000u64));
-            assert_eq!(wheel.push(t, i), heap.push(t, i), "case {case}");
+        q.clear();
+        model.heap.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.scheduled_total(), model.next_seq);
+        for _ in 0..rng.gen_range(1..50u32) {
+            if rng.gen_bool(0.2) {
+                push_arb_batch(rng, &mut q, &mut model, SimTime::ZERO);
+            } else {
+                let t = arb_time(rng, SimTime::ZERO);
+                let seq = model.push(t);
+                assert_eq!(q.push(t, seq), seq, "case {case}");
+            }
         }
-        while let Some(b) = heap.pop() {
-            let a = wheel.pop().expect("wheel drained early");
-            assert_eq!((a.time, a.seq, a.item), (b.time, b.seq, b.item));
-        }
-        assert!(wheel.is_empty());
+        drain_against_model(&mut q, &mut model, case);
     });
 }
 
