@@ -272,18 +272,26 @@ fn print_trace(cfg: &ExperimentConfig, scheme: Scheme, apps: &[iotse_core::AppId
         .seed(cfg.seed)
         .with_trace()
         .run();
-    let entries = result.trace.entries();
-    println!("{scheme} x {apps:?}: {} trace entries", entries.len());
-    let head = 30.min(entries.len());
-    for e in &entries[..head] {
-        println!("  {e}");
+    let log = &result.trace;
+    let events = log.events();
+    println!("{scheme} x {apps:?}: {} trace entries", events.len());
+    let print = |e: &iotse_sim::trace::TraceEvent| {
+        println!(
+            "  [{}] {} {}: {}",
+            e.time,
+            e.kind,
+            log.label(e.source),
+            log.detail(e)
+        );
+    };
+    let head = 30.min(events.len());
+    events[..head].iter().for_each(print);
+    if events.len() > 2 * head {
+        println!("  ... ({} elided) ...", events.len() - 2 * head);
     }
-    if entries.len() > 2 * head {
-        println!("  ... ({} elided) ...", entries.len() - 2 * head);
-    }
-    for e in &entries[entries.len().saturating_sub(head).max(head)..] {
-        println!("  {e}");
-    }
+    events[events.len().saturating_sub(head).max(head)..]
+        .iter()
+        .for_each(print);
 }
 
 /// Figure 10's headline means across five seeds: the error bars the paper

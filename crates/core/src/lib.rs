@@ -25,13 +25,14 @@
 //! * [`telemetry`] — windowed telemetry: per-window/per-routine energy
 //!   stacks, per-app QoS series and streaming EWMA/CUSUM drift alerts,
 //!   recorded at window boundaries when a scenario opts in.
-//! * [`robustness`] — scripted-fault robustness grading: runs every scheme
-//!   clean and faulted, grades pluggable expectations, emits a
-//!   [`robustness::RobustnessReport`].
+//! * [`robustness`] — the committed demo fault storm
+//!   ([`robustness::demo_scripts`], `faults = "demo"` in scenario files).
 //! * [`scenario_spec`] — the declarative scenario language: `scenarios/*.toml`
 //!   files declaring device populations, weighted app mixes, schemes, seeds,
 //!   faults and expectations, compiled onto the fleet runner and graded into
 //!   a [`scenario_spec::SpecReport`].
+//! * [`toml_subset`] — the std-only TOML reader shared by scenario files and
+//!   the `specs/table1.toml` ground truth.
 //! * [`result`] — energy breakdowns, per-app QoS/processing reports,
 //!   speedups.
 //!
@@ -65,12 +66,12 @@ pub mod runner;
 pub mod scenario_spec;
 pub mod scheme;
 pub mod telemetry;
+pub mod toml_subset;
 pub mod workload;
 
 pub use calibration::Calibration;
 pub use executor::Scenario;
 pub use result::{AppFlow, RunResult};
-pub use robustness::{Expectation, RobustnessReport};
 pub use runner::{fleet_window_percentiles, run_fleet, Fleet, WindowPercentiles};
 pub use scenario_spec::{run_spec, ScenarioSpec, SpecCheck, SpecError, SpecReport};
 pub use scheme::Scheme;

@@ -150,17 +150,6 @@ impl AppRunReport {
     pub fn qos_violations(&self) -> usize {
         self.windows.iter().filter(|w| !w.met_qos()).count()
     }
-
-    /// Streaming statistics over per-window QoS slack, in milliseconds —
-    /// how much headroom the app has before deadlines start slipping.
-    #[must_use]
-    pub fn slack_stats(&self) -> iotse_sim::stats::OnlineStats {
-        let mut stats = iotse_sim::stats::OnlineStats::new();
-        for w in &self.windows {
-            stats.record(w.slack().as_millis_f64());
-        }
-        stats
-    }
 }
 
 /// The result of one scenario run.
@@ -350,16 +339,6 @@ mod tests {
             SimDuration::from_millis(500)
         );
         assert_eq!(outcome(0, 2500, 2000).slack(), SimDuration::ZERO);
-        let report = AppRunReport {
-            id: AppId::A2,
-            name: "x".into(),
-            flow: AppFlow::Batched,
-            windows: vec![outcome(0, 1500, 2000), outcome(1, 1700, 2000)],
-        };
-        let stats = report.slack_stats();
-        assert_eq!(stats.count(), 2);
-        assert_eq!(stats.mean(), 400.0);
-        assert_eq!(stats.min(), Some(300.0));
     }
 
     #[test]

@@ -1,396 +1,15 @@
-//! Scheme robustness under scripted faults.
+//! The committed demo fault storm.
 //!
-//! The paper ranks the five schemes by energy in fair weather; this module
-//! asks the question the paper could not: **which scheme degrades best?**
-//! [`evaluate`] runs every scheme twice over the same seed — once clean,
-//! once under a [`FaultScript`] list — and grades each faulted run against
-//! pluggable [`Expectation`]s (QoS-degradation bound, energy-under-fault
-//! ratio, no-panic). The result is a [`RobustnessReport`]: one row per
-//! scheme with its exact fault counters, degradation figures and pass/fail
-//! checks, plus a ranking.
-//!
-//! Everything here inherits the executor's determinism: the same inputs
-//! produce a byte-identical report at any `--jobs` level, so the report's
-//! text and CSV renderings are golden-testable.
+//! [`demo_scripts`] fires every [`FaultKind`] at least once over a two-window
+//! run. Scenario files name it as `faults = "demo"`; `inspect --faults demo`
+//! and the bench's `robustness` section inject it directly. Grading a scheme
+//! under the storm is the scenario language's job: a one-device spec with
+//! `faults = "demo"` and an `energy-ratio` expectation runs the clean twin
+//! and the faulted fleet and compares their energy (see
+//! [`crate::scenario_spec`]).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use iotse_sim::faults::{FaultKind, FaultScript, FaultStats};
+use iotse_sim::faults::{FaultKind, FaultScript};
 use iotse_sim::time::{SimDuration, SimTime};
-
-use crate::executor::Scenario;
-use crate::result::RunResult;
-use crate::runner::run_fleet;
-use crate::scheme::Scheme;
-use crate::workload::Workload;
-
-/// Everything an expectation may look at for one scheme.
-#[derive(Debug)]
-pub struct ExpectationCtx<'a> {
-    /// The scheme under test.
-    pub scheme: Scheme,
-    /// The fair-weather run (same apps, windows, seed; no faults).
-    pub baseline: &'a RunResult,
-    /// The faulted run, or `None` if it panicked.
-    pub faulted: Option<&'a RunResult>,
-    /// Exact fault counters from the faulted run (zero if it panicked).
-    pub stats: FaultStats,
-    /// `faulted.total_energy() / baseline.total_energy()` (∞ on panic).
-    pub energy_ratio: f64,
-    /// Added QoS misses as a fraction of total app-windows (∞ on panic).
-    pub qos_degradation: f64,
-}
-
-/// One expectation's verdict for one scheme.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckResult {
-    /// The expectation's stable name.
-    pub name: String,
-    /// Whether the scheme met the expectation.
-    pub passed: bool,
-    /// The measured value the bound was compared against.
-    pub measured: f64,
-    /// The bound itself.
-    pub bound: f64,
-}
-
-/// A pluggable pass/fail check evaluated after a faulted run.
-pub trait Expectation: std::fmt::Debug {
-    /// Grades one scheme's faulted run.
-    fn check(&self, ctx: &ExpectationCtx<'_>) -> CheckResult;
-}
-
-/// Bounds the added QoS misses: `(faulted − baseline misses) / windows`
-/// must not exceed `max_added_miss_ratio`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QosDegradationBound {
-    /// Largest acceptable added-miss fraction in `[0, 1]`.
-    pub max_added_miss_ratio: f64,
-}
-
-impl Expectation for QosDegradationBound {
-    fn check(&self, ctx: &ExpectationCtx<'_>) -> CheckResult {
-        CheckResult {
-            name: "qos-degradation".to_string(),
-            passed: ctx.qos_degradation <= self.max_added_miss_ratio,
-            measured: ctx.qos_degradation,
-            bound: self.max_added_miss_ratio,
-        }
-    }
-}
-
-/// Bounds energy under fault relative to fair weather.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyRatioBound {
-    /// Largest acceptable `faulted / baseline` energy ratio.
-    pub max_ratio: f64,
-}
-
-impl Expectation for EnergyRatioBound {
-    fn check(&self, ctx: &ExpectationCtx<'_>) -> CheckResult {
-        CheckResult {
-            name: "energy-ratio".to_string(),
-            passed: ctx.energy_ratio <= self.max_ratio,
-            measured: ctx.energy_ratio,
-            bound: self.max_ratio,
-        }
-    }
-}
-
-/// The faulted run must complete without panicking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NoPanic;
-
-impl Expectation for NoPanic {
-    fn check(&self, ctx: &ExpectationCtx<'_>) -> CheckResult {
-        let panicked = ctx.faulted.is_none();
-        CheckResult {
-            name: "no-panic".to_string(),
-            passed: !panicked,
-            measured: if panicked { 1.0 } else { 0.0 },
-            bound: 0.0,
-        }
-    }
-}
-
-/// One scheme's row of the report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchemeRobustness {
-    /// The scheme.
-    pub scheme: Scheme,
-    /// Whether the faulted run panicked.
-    pub panicked: bool,
-    /// Fair-weather energy in µJ.
-    pub baseline_uj: f64,
-    /// Energy under fault in µJ (0 on panic).
-    pub faulted_uj: f64,
-    /// `faulted_uj / baseline_uj` (∞ on panic).
-    pub energy_ratio: f64,
-    /// Fair-weather QoS misses.
-    pub qos_base: usize,
-    /// QoS misses under fault.
-    pub qos_fault: usize,
-    /// Total app-windows graded.
-    pub windows: usize,
-    /// Added misses as a fraction of `windows` (∞ on panic).
-    pub qos_degradation: f64,
-    /// Exact fault counters.
-    pub stats: FaultStats,
-    /// Expectation verdicts, in expectation order.
-    pub checks: Vec<CheckResult>,
-}
-
-impl SchemeRobustness {
-    /// Whether every expectation passed.
-    #[must_use]
-    pub fn all_passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
-    }
-}
-
-/// The cross-scheme robustness comparison for one fault script list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustnessReport {
-    /// The experiment seed.
-    pub seed: u64,
-    /// Windows simulated per scheme.
-    pub windows: u32,
-    /// Stable names of the fault kinds injected, in script order.
-    pub kinds: Vec<String>,
-    /// One row per scheme, in [`Scheme::ALL`] order.
-    pub rows: Vec<SchemeRobustness>,
-}
-
-impl RobustnessReport {
-    /// Schemes from most to least robust: ascending QoS degradation, then
-    /// ascending energy ratio, then scheme order (stable tie-break).
-    #[must_use]
-    pub fn ranked(&self) -> Vec<Scheme> {
-        let mut rows: Vec<&SchemeRobustness> = self.rows.iter().collect();
-        rows.sort_by(|a, b| {
-            a.qos_degradation
-                .total_cmp(&b.qos_degradation)
-                .then(a.energy_ratio.total_cmp(&b.energy_ratio))
-        });
-        rows.iter().map(|r| r.scheme).collect()
-    }
-
-    /// `(scheme, check name)` pairs that failed, in row order.
-    #[must_use]
-    pub fn failures(&self) -> Vec<(Scheme, String)> {
-        self.rows
-            .iter()
-            .flat_map(|r| {
-                r.checks
-                    .iter()
-                    .filter(|c| !c.passed)
-                    .map(|c| (r.scheme, c.name.clone()))
-            })
-            .collect()
-    }
-
-    /// A fixed-width text rendering (golden-tested; byte-stable).
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "robustness report · seed {} · {} windows · faults: {}",
-            self.seed,
-            self.windows,
-            self.kinds.join(", ")
-        );
-        let _ = writeln!(
-            out,
-            "{:<10} {:>14} {:>14} {:>7} {:>5} {:>6} {:>7} {:>8} {:>9} {:>9} {:>6}",
-            "scheme",
-            "base_uJ",
-            "fault_uJ",
-            "ratio",
-            "qos0",
-            "qosF",
-            "degr",
-            "dropped",
-            "corrupted",
-            "injected",
-            "panic"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<10} {:>14.3} {:>14.3} {:>7.3} {:>5} {:>6} {:>7.3} {:>8} {:>9} {:>9} {:>6}",
-                r.scheme.to_string(),
-                r.baseline_uj,
-                r.faulted_uj,
-                r.energy_ratio,
-                r.qos_base,
-                r.qos_fault,
-                r.qos_degradation,
-                r.stats.samples_dropped,
-                r.stats.bytes_corrupted,
-                r.stats.faults_injected,
-                if r.panicked { "yes" } else { "no" }
-            );
-            for c in &r.checks {
-                let _ = writeln!(
-                    out,
-                    "  [{}] {} <= {:.3} (measured {:.3})",
-                    if c.passed { "pass" } else { "FAIL" },
-                    c.name,
-                    c.bound,
-                    c.measured
-                );
-            }
-        }
-        let ranked: Vec<String> = self.ranked().iter().map(ToString::to_string).collect();
-        let _ = writeln!(out, "ranking (most robust first): {}", ranked.join(" > "));
-        out
-    }
-
-    /// A CSV rendering: one row per scheme, one `<check>_pass` /
-    /// `<check>_measured` column pair per expectation (golden-tested).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str(
-            "scheme,panicked,energy_base_uj,energy_fault_uj,energy_ratio,qos_base,qos_fault,\
-             qos_degradation,samples_dropped,bytes_corrupted,faults_injected",
-        );
-        if let Some(first) = self.rows.first() {
-            for c in &first.checks {
-                let _ = write!(out, ",{0}_measured,{0}_pass", c.name);
-            }
-        }
-        out.push('\n');
-        for r in &self.rows {
-            let _ = write!(
-                out,
-                "{},{},{:.3},{:.3},{:.6},{},{},{:.6},{},{},{}",
-                r.scheme,
-                r.panicked,
-                r.baseline_uj,
-                r.faulted_uj,
-                r.energy_ratio,
-                r.qos_base,
-                r.qos_fault,
-                r.qos_degradation,
-                r.stats.samples_dropped,
-                r.stats.bytes_corrupted,
-                r.stats.faults_injected
-            );
-            for c in &r.checks {
-                let _ = write!(out, ",{:.6},{}", c.measured, c.passed);
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-fn total_windows(r: &RunResult) -> usize {
-    r.apps.iter().map(|a| a.windows.len()).sum()
-}
-
-/// Runs every scheme fair-weather and faulted over the same seed and
-/// grades the faulted runs. `make_apps` is called once per run so each
-/// gets fresh workload state (core cannot name `iotse-apps`; pass a
-/// catalog closure). Baselines fan out over `jobs` workers; faulted runs
-/// execute serially under a panic guard so a crashing scheme is *graded*,
-/// not fatal.
-#[must_use]
-pub fn evaluate(
-    make_apps: &dyn Fn() -> Vec<Box<dyn Workload>>,
-    windows: u32,
-    seed: u64,
-    scripts: &[FaultScript],
-    expectations: &[Box<dyn Expectation>],
-    jobs: usize,
-) -> RobustnessReport {
-    let baselines = run_fleet(
-        Scheme::ALL
-            .iter()
-            .map(|&s| Scenario::new(s, make_apps()).windows(windows).seed(seed))
-            .collect(),
-        jobs,
-    );
-    let mut kinds: Vec<String> = Vec::new();
-    for s in scripts {
-        let name = s.kind.name().to_string();
-        if !kinds.contains(&name) {
-            kinds.push(name);
-        }
-    }
-    let rows = Scheme::ALL
-        .iter()
-        .zip(&baselines)
-        .map(|(&scheme, baseline)| {
-            let faulted = catch_unwind(AssertUnwindSafe(|| {
-                Scenario::new(scheme, make_apps())
-                    .windows(windows)
-                    .seed(seed)
-                    .faults(scripts.to_vec())
-                    .run()
-            }))
-            .ok();
-            grade(scheme, baseline, faulted, expectations)
-        })
-        .collect();
-    RobustnessReport {
-        seed,
-        windows,
-        kinds,
-        rows,
-    }
-}
-
-fn grade(
-    scheme: Scheme,
-    baseline: &RunResult,
-    faulted: Option<RunResult>,
-    expectations: &[Box<dyn Expectation>],
-) -> SchemeRobustness {
-    let baseline_uj = baseline.total_energy().as_microjoules();
-    let qos_base = baseline.qos_violations();
-    let windows = total_windows(baseline);
-    let (faulted_uj, qos_fault, stats, energy_ratio, qos_degradation) = match &faulted {
-        Some(f) => {
-            let uj = f.total_energy().as_microjoules();
-            let qf = f.qos_violations();
-            let added = qf.saturating_sub(qos_base) as f64;
-            let degr = if windows == 0 {
-                0.0
-            } else {
-                added / windows as f64
-            };
-            (uj, qf, f.faults, uj / baseline_uj, degr)
-        }
-        None => (0.0, 0, FaultStats::default(), f64::INFINITY, f64::INFINITY),
-    };
-    let ctx = ExpectationCtx {
-        scheme,
-        baseline,
-        faulted: faulted.as_ref(),
-        stats,
-        energy_ratio,
-        qos_degradation,
-    };
-    let checks = expectations.iter().map(|e| e.check(&ctx)).collect();
-    SchemeRobustness {
-        scheme,
-        panicked: faulted.is_none(),
-        baseline_uj,
-        faulted_uj,
-        energy_ratio,
-        qos_base,
-        qos_fault,
-        windows,
-        qos_degradation,
-        stats,
-        checks,
-    }
-}
 
 /// The committed demo fault storm: every [`FaultKind`] fires at least once
 /// over a 2-window, 1 kHz S4 scenario (A2 + A7 in the bench suite). Times
@@ -444,20 +63,5 @@ pub fn demo_scripts() -> Vec<FaultScript> {
             SimDuration::from_millis(400),
         )
         .seeded(7),
-    ]
-}
-
-/// The expectations the demo report grades against. The energy bound is
-/// deliberately tight enough that deep-sleep schemes (COM/BCOM), which pay
-/// a 4 mJ wake transition per spurious storm interrupt, fail it while the
-/// always-active Baseline passes — the report's headline contrast.
-#[must_use]
-pub fn demo_expectations() -> Vec<Box<dyn Expectation>> {
-    vec![
-        Box::new(QosDegradationBound {
-            max_added_miss_ratio: 0.25,
-        }),
-        Box::new(EnergyRatioBound { max_ratio: 1.5 }),
-        Box::new(NoPanic),
     ]
 }

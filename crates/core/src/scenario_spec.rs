@@ -6,9 +6,10 @@
 //! with **weighted selection and round-robin distribution** across
 //! devices, the scheme(s) to run, explicit seeds, window counts, optional
 //! fault scripts and telemetry, and a list of pluggable **expectations**
-//! graded after the run. [`ScenarioSpec::parse`] reads the std-only
-//! TOML subset (the `specs/table1.toml` idiom: `[section]` tables,
-//! `[[section]]` arrays, scalar values, plus single-line string lists),
+//! graded after the run. [`ScenarioSpec::parse`] reads the file with the
+//! shared [`crate::toml_subset`] reader and validates it against the
+//! grammar below — this module is the grammar's only definition (the
+//! `IOTSE-F14` lint rule calls the same parser),
 //! [`ScenarioSpec::runs`] compiles the population deterministically, and
 //! [`run_spec`] executes the fleet and folds the results into a
 //! [`SpecReport`] whose pass/fail rows a CI gate can sweep.
@@ -65,7 +66,6 @@
 //! byte-identical at any `--jobs` level (pinned by the bench crate's
 //! scenario tests and the CI `scenarios` job).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use iotse_sim::faults::{FaultKind, FaultScript};
@@ -75,7 +75,10 @@ use crate::executor::Scenario;
 use crate::result::RunResult;
 use crate::runner::Fleet;
 use crate::scheme::Scheme;
+use crate::toml_subset::{self, Table, Value};
 use crate::workload::{AppId, Workload};
+
+pub use crate::toml_subset::SpecError;
 
 /// Hard cap on the device population of one scenario file — scenario
 /// files feed CI sweeps, not the population executor (ROADMAP item 2).
@@ -86,223 +89,6 @@ pub const MAX_WINDOWS: u32 = 3600;
 pub const MAX_MIX_ENTRIES: usize = 256;
 /// Hard cap on one mix entry's weight.
 pub const MAX_WEIGHT: u64 = 1_000_000;
-
-/// A parse/validation error with the 1-based line it was detected on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError {
-    /// 1-based line number in the scenario file.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl SpecError {
-    fn new(line: usize, message: impl Into<String>) -> SpecError {
-        SpecError {
-            line,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-/// One scalar (or string-list) value of the TOML subset.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Bool(bool),
-    Int(u64),
-    Float(f64),
-    Str(String),
-    List(Vec<String>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "a boolean",
-            Value::Int(_) => "an integer",
-            Value::Float(_) => "a float",
-            Value::Str(_) => "a string",
-            Value::List(_) => "a string list",
-        }
-    }
-}
-
-/// A `key = value` table with per-key line numbers.
-type RawTable = BTreeMap<String, (usize, Value)>;
-
-/// The parsed file before validation.
-#[derive(Debug, Default)]
-struct RawDoc {
-    tables: BTreeMap<String, (usize, RawTable)>,
-    arrays: BTreeMap<String, Vec<(usize, RawTable)>>,
-    /// Section names in file order, for unknown-section reporting.
-    section_lines: Vec<(String, usize)>,
-}
-
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, b) in line.bytes().enumerate() {
-        match b {
-            b'"' => in_str = !in_str,
-            b'#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_scalar(v: &str, line: usize) -> Result<Value, SpecError> {
-    match v {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
-    }
-    if let Some(inner) = v.strip_prefix('"') {
-        let Some(inner) = inner.strip_suffix('"') else {
-            return Err(SpecError::new(line, format!("unterminated string `{v}`")));
-        };
-        if inner.contains('"') {
-            return Err(SpecError::new(
-                line,
-                format!("embedded quote in string `{v}`"),
-            ));
-        }
-        return Ok(Value::Str(inner.to_string()));
-    }
-    let plain = v.replace('_', "");
-    if plain.contains(['.', 'e', 'E']) {
-        if let Ok(x) = plain.parse::<f64>() {
-            if x.is_finite() {
-                return Ok(Value::Float(x));
-            }
-        }
-    } else if let Ok(n) = plain.parse::<u64>() {
-        return Ok(Value::Int(n));
-    }
-    Err(SpecError::new(
-        line,
-        format!("expected a boolean, non-negative number, string, or [\"…\"] list, got `{v}`"),
-    ))
-}
-
-fn parse_value(v: &str, line: usize) -> Result<Value, SpecError> {
-    if let Some(inner) = v.strip_prefix('[') {
-        let Some(inner) = inner.strip_suffix(']') else {
-            return Err(SpecError::new(
-                line,
-                format!("unterminated list `{v}` (lists must be single-line)"),
-            ));
-        };
-        let mut items = Vec::new();
-        let trimmed = inner.trim();
-        if !trimmed.is_empty() {
-            for item in trimmed.split(',') {
-                let item = item.trim();
-                if item.is_empty() {
-                    return Err(SpecError::new(line, format!("empty element in `{v}`")));
-                }
-                match parse_scalar(item, line)? {
-                    Value::Str(s) => items.push(s),
-                    other => {
-                        return Err(SpecError::new(
-                            line,
-                            format!("lists may only hold strings, got {}", other.type_name()),
-                        ))
-                    }
-                }
-            }
-        }
-        return Ok(Value::List(items));
-    }
-    parse_scalar(v, line)
-}
-
-fn parse_raw(text: &str) -> Result<RawDoc, SpecError> {
-    enum Target {
-        None,
-        Table(String),
-        Array(String),
-    }
-    let mut doc = RawDoc::default();
-    let mut target = Target::None;
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix("[[").and_then(|r| r.strip_suffix("]]")) {
-            let name = name.trim().to_string();
-            doc.section_lines.push((name.clone(), lineno));
-            doc.arrays
-                .entry(name.clone())
-                .or_default()
-                .push((lineno, RawTable::new()));
-            target = Target::Array(name);
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-            if name.starts_with('[') || name.ends_with(']') {
-                return Err(SpecError::new(
-                    lineno,
-                    format!("malformed section `{line}`"),
-                ));
-            }
-            let name = name.trim().to_string();
-            if doc.tables.contains_key(&name) {
-                return Err(SpecError::new(
-                    lineno,
-                    format!("duplicate section [{name}]"),
-                ));
-            }
-            doc.section_lines.push((name.clone(), lineno));
-            doc.tables.insert(name.clone(), (lineno, RawTable::new()));
-            target = Target::Table(name);
-            continue;
-        }
-        let Some(eq) = line.find('=') else {
-            return Err(SpecError::new(
-                lineno,
-                format!("expected `key = value`, got `{line}`"),
-            ));
-        };
-        let key = line[..eq].trim().to_string();
-        if key.is_empty() {
-            return Err(SpecError::new(lineno, "missing key before `=`"));
-        }
-        let value = parse_value(line[eq + 1..].trim(), lineno)?;
-        let table = match &target {
-            Target::None => {
-                return Err(SpecError::new(
-                    lineno,
-                    format!("key `{key}` outside any [section]"),
-                ))
-            }
-            Target::Table(name) => doc.tables.get_mut(name).map(|(_, t)| t),
-            Target::Array(name) => doc
-                .arrays
-                .get_mut(name)
-                .and_then(|v| v.last_mut())
-                .map(|(_, t)| t),
-        };
-        let Some(table) = table else {
-            // Unreachable: the target was inserted when the header parsed.
-            return Err(SpecError::new(lineno, "internal: section vanished"));
-        };
-        if table.insert(key.clone(), (lineno, value)).is_some() {
-            return Err(SpecError::new(lineno, format!("duplicate key `{key}`")));
-        }
-    }
-    Ok(doc)
-}
 
 /// How the mix entries are spread over the device population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -409,13 +195,13 @@ pub struct ScenarioSpec {
 }
 
 struct KeyReader<'a> {
-    table: &'a RawTable,
+    table: &'a Table,
     section: &'a str,
     line: usize,
 }
 
 impl<'a> KeyReader<'a> {
-    fn new(table: &'a RawTable, section: &'a str, line: usize) -> KeyReader<'a> {
+    fn new(table: &'a Table, section: &'a str, line: usize) -> KeyReader<'a> {
         KeyReader {
             table,
             section,
@@ -559,7 +345,7 @@ fn parse_checksum(raw: &str, line: usize) -> Result<u64, SpecError> {
     })
 }
 
-fn parse_fault(table: &RawTable, line: usize) -> Result<FaultScript, SpecError> {
+fn parse_fault(table: &Table, line: usize) -> Result<FaultScript, SpecError> {
     let r = KeyReader::new(table, "fault", line);
     r.reject_unknown(&[
         "kind",
@@ -657,7 +443,7 @@ fn parse_fault(table: &RawTable, line: usize) -> Result<FaultScript, SpecError> 
     Ok(script)
 }
 
-fn parse_expect(table: &RawTable, line: usize) -> Result<SpecExpectation, SpecError> {
+fn parse_expect(table: &Table, line: usize) -> Result<SpecExpectation, SpecError> {
     let r = KeyReader::new(table, "expect", line);
     let kind_v = r.required("kind")?;
     let kind = r.str_of("kind", kind_v)?;
@@ -734,7 +520,7 @@ impl ScenarioSpec {
     /// unknown app/scheme/sensor names, or an `energy-ratio` expectation
     /// without any fault configured.
     pub fn parse(text: &str) -> Result<ScenarioSpec, SpecError> {
-        let doc = parse_raw(text)?;
+        let doc = toml_subset::parse(text)?;
         for (name, line) in &doc.section_lines {
             match name.as_str() {
                 "scenario" | "mix" | "fault" | "expect" => {}

@@ -14,8 +14,9 @@
 
 use std::collections::BTreeMap;
 
+use iotse_core::toml_subset::eval_expr;
+
 use crate::scan::SourceFile;
-use crate::toml_mini::eval_expr;
 
 /// A canonicalized value extracted from source or ground truth.
 ///

@@ -28,7 +28,6 @@ pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod symbols;
-pub mod toml_mini;
 
 use std::path::{Path, PathBuf};
 

@@ -24,7 +24,7 @@
 //! | `IOTSE-M11` | memoizable kernels must be transitively pure |
 //! | `IOTSE-S12` | `SeedTree` split labels must be auditable and disjoint |
 //! | `IOTSE-H13` | hot-path functions must be transitively allocation-free |
-//! | `IOTSE-F14` | scenario corpus files must satisfy the spec grammar |
+//! | `IOTSE-F14` | scenario corpus files must pass `ScenarioSpec::parse` |
 //!
 //! [`SourceFile`]: crate::scan::SourceFile
 
@@ -139,7 +139,7 @@ pub const DETAILS: &[(&str, &str, &str)] = &[
     (
         "IOTSE-F14",
         "workspace audit",
-        "every `scenarios/*.toml` must parse against the spec grammar — known sections and keys only, explicit seeds in `[scenario]` and each `[[fault]]`, strictly positive mix weights, app ids from the Table 2 registry, scheme names from the five implemented schemes — so a malformed corpus file fails lint before the slower `scenario check` sweep runs it.",
+        "every `scenarios/*.toml` must pass `iotse_core::scenario_spec::ScenarioSpec::parse`, the grammar's only definition — sections, keys, explicit seeds, weights, app, scheme, sensor, fault and expectation names, value ranges — so a malformed corpus file fails lint, at the line of its first error, before the slower `scenario check` sweep runs it.",
     ),
 ];
 

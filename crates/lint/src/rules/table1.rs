@@ -12,13 +12,16 @@
 //!
 //! Values may be written as product/quotient expressions (`5.0 * 13.0 /
 //! 77.0 * 1_000.0`) so fitted constants compare bit-exactly; a relative
-//! tolerance of 1e-9 backstops decimal-vs-binary rounding.
+//! tolerance of 1e-9 backstops decimal-vs-binary rounding. The file is read
+//! with `iotse_core::toml_subset`, the reader scenario files use, which
+//! rejects a repeated `[section]` or key, so no row can shadow another.
 
 use std::path::Path;
 
+use iotse_core::toml_subset::{self, Document, Table, Value};
+
 use crate::extract::{self, Extracted, Fields};
 use crate::scan::SourceFile;
-use crate::toml_mini::{self, Table, Value};
 use crate::Finding;
 
 /// Rule ID.
@@ -51,14 +54,19 @@ pub fn check(root: &Path, files: &[SourceFile], out: &mut Vec<Finding>) {
             return;
         }
     };
-    let doc = match toml_mini::parse(&truth_text) {
+    check_truth(&truth_text, files, out);
+}
+
+/// Audits the sources against one ground-truth text.
+fn check_truth(truth_text: &str, files: &[SourceFile], out: &mut Vec<Finding>) {
+    let doc = match toml_subset::parse(truth_text) {
         Ok(d) => d,
-        Err((line, msg)) => {
+        Err(e) => {
             out.push(Finding::at(
                 TRUTH,
-                line,
+                e.line,
                 ID,
-                format!("malformed ground truth: {msg}"),
+                format!("malformed ground truth: {}", e.message),
             ));
             return;
         }
@@ -68,7 +76,7 @@ pub fn check(root: &Path, files: &[SourceFile], out: &mut Vec<Finding>) {
     audit_platform(&doc, files, out);
 }
 
-fn audit_sensors(doc: &toml_mini::Document, files: &[SourceFile], out: &mut Vec<Finding>) {
+fn audit_sensors(doc: &Document, files: &[SourceFile], out: &mut Vec<Finding>) {
     let Some(catalog) = files.iter().find(|f| f.rel_path == CATALOG) else {
         out.push(Finding::at(
             TRUTH,
@@ -140,7 +148,7 @@ fn audit_sensors(doc: &toml_mini::Document, files: &[SourceFile], out: &mut Vec<
     }
 }
 
-fn audit_platform(doc: &toml_mini::Document, files: &[SourceFile], out: &mut Vec<Finding>) {
+fn audit_platform(doc: &Document, files: &[SourceFile], out: &mut Vec<Finding>) {
     let Some(calib) = files.iter().find(|f| f.rel_path == CALIBRATION) else {
         out.push(Finding::at(
             TRUTH,
@@ -247,8 +255,11 @@ fn audit_payload_bytes(
         ));
         return;
     };
-    match truth.get("payload_bytes") {
-        Some((tline, Value::Num(n))) if !close(*n, expect) => {
+    match truth
+        .get("payload_bytes")
+        .map(|(tline, v)| (tline, v, number(v)))
+    {
+        Some((tline, _, Some(n))) if !close(n, expect) => {
             out.push(Finding::at(
                 TRUTH,
                 *tline,
@@ -256,8 +267,8 @@ fn audit_payload_bytes(
                 format!("{label}: payload_bytes = {n} but payload `{payload}` implies {expect}"),
             ));
         }
-        Some((_, Value::Num(_))) => {}
-        Some((tline, v)) => {
+        Some((_, _, Some(_))) => {}
+        Some((tline, v, None)) => {
             out.push(Finding::at(
                 TRUTH,
                 *tline,
@@ -279,9 +290,19 @@ fn audit_payload_bytes(
     }
 }
 
+/// A truth value as a number: integers and floats (including the
+/// product/quotient expressions) compare alike.
+fn number(v: &Value) -> Option<f64> {
+    match v {
+        Value::Int(n) => Some(*n as f64),
+        Value::Float(x) => Some(*x),
+        _ => None,
+    }
+}
+
 fn matches_truth(truth: &Value, src: &Extracted) -> bool {
     match (truth, src) {
-        (Value::Num(a), Extracted::Num(b)) => close(*a, *b),
+        (_, Extracted::Num(b)) => number(truth).is_some_and(|a| close(a, *b)),
         (Value::Str(a), Extracted::Name(b)) => a == b,
         (Value::Bool(a), Extracted::Bool(b)) => a == b,
         _ => false,
@@ -294,9 +315,45 @@ fn close(a: f64, b: f64) -> bool {
 
 fn value_str(v: &Value) -> String {
     match v {
-        Value::Num(n) => format!("{n}"),
+        Value::Int(n) => format!("{n}"),
+        Value::Float(x) => format!("{x}"),
         Value::Str(s) => s.clone(),
         Value::Bool(b) => format!("{b}"),
         Value::List(items) => items.join(", "),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_shadowed_truth_value_is_reported_not_audited() {
+        // A duplicated key must not let the later value silently win.
+        let mut out = Vec::new();
+        check_truth(
+            "[platform]\ncpu_sleep = 1.5 * 1_000.0\ncpu_sleep = 2_000.0\n",
+            &[],
+            &mut out,
+        );
+        assert_eq!(
+            out,
+            vec![Finding::at(
+                TRUTH,
+                3,
+                ID,
+                "malformed ground truth: duplicate key `cpu_sleep`".to_string()
+            )]
+        );
+        // Nor may a repeated [section] merge into the first.
+        let mut out = Vec::new();
+        check_truth(
+            "[platform]\ncpu_active = 5.0\n\n[platform]\ncpu_sleep = 1.5\n",
+            &[],
+            &mut out,
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 4);
+        assert!(out[0].message.contains("duplicate section [platform]"));
     }
 }

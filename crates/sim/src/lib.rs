@@ -10,9 +10,8 @@
 //!   integer-nanosecond clock types.
 //! * [`queue`] — the pending-event set with deterministic FIFO tie-breaking.
 //! * [`engine`] — the [`Engine`] execution loop.
-//! * [`stats`] — streaming moments and fixed-bucket histograms.
 //! * [`metrics`] — deterministic registry of named counters, gauges and
-//!   histograms, snapshotable to a stable-ordered report.
+//!   fixed-bucket histograms, snapshotable to a stable-ordered report.
 //! * [`trace`] — structured execution traces: hierarchical spans with typed
 //!   fields (used for the paper's Figure 5 timelines and the energy
 //!   flamegraph fold).
@@ -57,7 +56,6 @@ pub mod faults;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod timeseries;
 pub mod trace;

@@ -1,8 +1,8 @@
 //! A deterministic metrics registry: named counters, gauges, and
 //! fixed-bucket histograms.
 //!
-//! [`stats`](crate::stats) supplies the raw accumulators; this module adds
-//! the *registry* layer an observability surface needs: metrics are
+//! [`Histogram`] is the raw bucket accumulator; the registry is the layer
+//! an observability surface needs on top of it: metrics are
 //! registered once by name (`iotse_<crate>_<name>`, enforced by lint rule
 //! IOTSE-M09), addressed afterwards by a cheap interned id so the hot path
 //! never hashes or allocates, and snapshot into a [`MetricsReport`] whose
@@ -32,8 +32,6 @@
 //! ```
 
 use std::collections::BTreeMap;
-
-use crate::stats::Histogram;
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -353,9 +351,105 @@ impl MetricsReport {
     }
 }
 
+/// Fixed-bucket histogram over non-negative `f64` values, with an explicit
+/// overflow bucket.
+///
+/// # Examples
+///
+/// ```
+/// use iotse_sim::metrics::Histogram;
+///
+/// let mut h = Histogram::with_bounds(&[1.0, 10.0, 100.0]);
+/// h.record(0.5);   // bucket 0: < 1
+/// h.record(5.0);   // bucket 1: [1, 10)
+/// h.record(1e6);   // overflow
+/// assert_eq!(h.bucket_counts(), &[1, 1, 0]);
+/// assert_eq!(h.overflow(), 1);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Histogram {
+    bounds: Vec<f64>,
+    counts: Vec<u64>,
+    overflow: u64,
+    total: u64,
+}
+
+impl Histogram {
+    /// Creates a histogram whose bucket `i` covers `[bounds[i-1], bounds[i])`
+    /// (bucket 0 covers everything below `bounds[0]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` is empty or not strictly increasing.
+    #[must_use]
+    pub fn with_bounds(bounds: &[f64]) -> Self {
+        assert!(!bounds.is_empty(), "histogram needs at least one bound");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
+        Histogram {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len()],
+            overflow: 0,
+            total: 0,
+        }
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, x: f64) {
+        self.total += 1;
+        match self.bounds.iter().position(|&b| x < b) {
+            Some(i) => self.counts[i] += 1,
+            None => self.overflow += 1,
+        }
+    }
+
+    /// Per-bucket counts (same length as the bounds).
+    #[must_use]
+    pub fn bucket_counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Count of observations at or above the last bound.
+    #[must_use]
+    pub fn overflow(&self) -> u64 {
+        self.overflow
+    }
+
+    /// Total observations recorded.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// The bucket upper bounds this histogram was built with.
+    #[must_use]
+    pub fn bounds(&self) -> &[f64] {
+        &self.bounds
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn histogram_buckets_and_overflow() {
+        let mut h = Histogram::with_bounds(&[10.0, 20.0]);
+        for x in [5.0, 9.9, 10.0, 19.9, 20.0, 100.0] {
+            h.record(x);
+        }
+        assert_eq!(h.bucket_counts(), &[2, 2]);
+        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.total(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn histogram_rejects_bad_bounds() {
+        let _ = Histogram::with_bounds(&[1.0, 1.0]);
+    }
 
     #[test]
     fn registration_is_idempotent() {

@@ -21,10 +21,10 @@
 //! 3. **Determinism.** The log is plain data driven by the simulation
 //!    clock; two identical runs produce bitwise-identical logs.
 //!
-//! The PR-0 `record(time, kind, source, detail)` API survives as a thin
-//! compatibility layer: it records a [`TraceEvent`] whose detail string is
-//! interned, and [`TraceLog::entries`] renders every event back into the
-//! old [`TraceEntry`] shape.
+//! The `record(time, kind, source, detail)` API records a [`TraceEvent`]
+//! whose detail string is interned as a single `msg` field;
+//! [`TraceLog::detail`] and [`TraceLog::label`] render any event back to
+//! text at export time.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -260,30 +260,6 @@ pub struct TraceEvent {
     pub fields: FieldList,
 }
 
-/// One trace entry — the PR-0 compatibility shape, rendered on demand by
-/// [`TraceLog::entries`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEntry {
-    /// When it happened.
-    pub time: SimTime,
-    /// What category of thing happened.
-    pub kind: TraceKind,
-    /// Which component reported it (e.g. `"cpu"`, `"mcu"`, `"app:A2"`).
-    pub source: String,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-impl fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{}] {} {}: {}",
-            self.time, self.kind, self.source, self.detail
-        )
-    }
-}
-
 /// Aggregate shape of a recorded span tree — cheap to compare and to carry
 /// in a `RunResult` without cloning the whole log.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -347,7 +323,7 @@ impl LabelTable {
 /// log.charge_span(run, 42.0);
 /// log.exit_span(run, SimTime::from_millis(2));
 /// assert_eq!(log.spans().len(), 1);
-/// assert_eq!(log.entries().len(), 1);
+/// assert_eq!(log.events().len(), 1);
 /// assert_eq!(log.count(TraceKind::Interrupt), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -560,7 +536,7 @@ impl TraceLog {
         });
     }
 
-    /// Records an entry if enabled — the PR-0 compatibility API. The detail
+    /// Records an event with a free-text detail if enabled. The detail
     /// string still allocates when enabled; hot paths should prefer
     /// [`TraceLog::event`] (typed fields) or [`TraceLog::record_with`]
     /// (lazy detail).
@@ -618,7 +594,8 @@ impl TraceLog {
     }
 
     /// Renders one event's fields as a human-readable detail string: the
-    /// bare `msg` value for compat entries, `k=v` pairs otherwise.
+    /// bare `msg` value for [`TraceLog::record`] events, `k=v` pairs
+    /// otherwise.
     #[must_use]
     pub fn detail(&self, event: &TraceEvent) -> String {
         match event.fields.as_slice() {
@@ -638,21 +615,6 @@ impl TraceLog {
                 out
             }
         }
-    }
-
-    /// All recorded events rendered into the PR-0 [`TraceEntry`] shape —
-    /// the thin compatibility view over the typed log.
-    #[must_use]
-    pub fn entries(&self) -> Vec<TraceEntry> {
-        self.events
-            .iter()
-            .map(|e| TraceEntry {
-                time: e.time,
-                kind: e.kind,
-                source: self.labels.resolve(e.source).to_string(),
-                detail: self.detail(e),
-            })
-            .collect()
     }
 
     /// Number of events of `kind`.
@@ -692,7 +654,7 @@ mod tests {
         assert_eq!(span, SpanId::DISABLED);
         log.charge_span(span, 5.0);
         log.exit_span(span, SimTime::from_millis(1));
-        assert!(log.entries().is_empty());
+        assert!(log.events().is_empty());
         assert!(log.spans().is_empty());
         assert!(!log.is_enabled());
         assert_eq!(log.summary(), SpanSummary::default());
@@ -725,10 +687,10 @@ mod tests {
         log.record(SimTime::ZERO, TraceKind::Qos, "exec", "kept");
         log.set_enabled(false);
         log.record(SimTime::ZERO, TraceKind::Qos, "exec", "dropped");
-        assert_eq!(log.entries().len(), 1);
+        assert_eq!(log.count(TraceKind::Qos), 1);
         log.set_enabled(true);
         log.record(SimTime::ZERO, TraceKind::Qos, "exec", "kept2");
-        assert_eq!(log.entries().len(), 2);
+        assert_eq!(log.count(TraceKind::Qos), 2);
     }
 
     #[test]
@@ -740,9 +702,15 @@ mod tests {
             "mcu",
             "S4 sample 12B",
         );
-        let entries = log.entries();
+        let e = &log.events()[0];
         assert_eq!(
-            entries[0].to_string(),
+            format!(
+                "[{}] {} {}: {}",
+                e.time,
+                e.kind,
+                log.label(e.source),
+                log.detail(e)
+            ),
             "[t+5ms] sensor-read mcu: S4 sample 12B"
         );
     }
@@ -856,7 +824,7 @@ mod tests {
         log.record_with(SimTime::ZERO, TraceKind::SensorRead, "mcu", || {
             "built".to_string()
         });
-        assert_eq!(log.entries()[0].detail, "built");
+        assert_eq!(log.detail(&log.events()[0]), "built");
     }
 
     #[test]

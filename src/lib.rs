@@ -42,9 +42,6 @@ pub use iotse_sim as sim;
 /// The types most programs need.
 pub mod prelude {
     pub use iotse_apps::catalog;
-    pub use iotse_core::robustness::{
-        EnergyRatioBound, Expectation, NoPanic, QosDegradationBound, RobustnessReport,
-    };
     pub use iotse_core::{
         run_fleet, AppFlow, AppId, AppOutput, Calibration, Fleet, RunResult, Scenario, Scheme,
     };
