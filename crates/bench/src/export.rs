@@ -21,8 +21,7 @@ use iotse_core::{Calibration, RunResult, Telemetry};
 use iotse_energy::attribution::Routine;
 use iotse_energy::stacks::stack_series_name;
 use iotse_sim::metrics::MetricsReport;
-use iotse_sim::time::SimTime;
-use iotse_sim::trace::FieldValue;
+use iotse_sim::trace::{FieldValue, Label};
 
 /// The short routine key used in exported labels (`interrupt`,
 /// `app_compute`, …) — the series name minus its crate prefix and unit
@@ -33,9 +32,14 @@ pub(crate) fn routine_key(routine: Routine) -> &'static str {
         .trim_end_matches("_microjoules")
 }
 
-/// Escapes `s` for use inside a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out`, escaped for use inside a JSON string literal.
+/// Strings with no `"`, `\` or control byte — nearly every span label —
+/// are copied in one `push_str`.
+fn json_escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -49,21 +53,44 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Simulated nanoseconds → trace-event microseconds, fixed 3 decimals.
-fn ts_micros(t: SimTime) -> String {
-    format!("{:.3}", t.as_nanos() as f64 / 1e3)
+/// Appends simulated nanoseconds as trace-event microseconds with three
+/// decimals: the integer `ns / 1000`, a `.`, then `ns % 1000` padded to
+/// three digits.
+///
+/// This is exact for every `ns`. It prints the same bytes as
+/// `format!("{:.3}", ns as f64 / 1e3)` for all `ns < 2^43 * 1000`
+/// (about 101.8 simulated days): below that the float quotient is less
+/// than half a nanosecond from exact, so rounding to three decimals
+/// recovers it. Above it the quotient can be off by almost a whole
+/// nanosecond, and the float form may misprint the last digit.
+fn write_micros(out: &mut String, ns: u64) {
+    let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
 }
 
-/// Renders one typed field value as a JSON value.
-fn json_field_value(result: &RunResult, value: FieldValue) -> String {
-    match value {
-        FieldValue::U64(v) => v.to_string(),
-        FieldValue::I64(v) => v.to_string(),
-        FieldValue::Str(l) => format!("\"{}\"", json_escape(result.trace.label(l))),
-        FieldValue::Time(t) => format!("\"{t}\""),
+/// Appends one typed field value as a JSON value.
+fn write_field_value(out: &mut String, result: &RunResult, value: FieldValue) {
+    let _ = match value {
+        FieldValue::U64(v) => write!(out, "{v}"),
+        FieldValue::I64(v) => write!(out, "{v}"),
+        FieldValue::Str(l) => {
+            out.push('"');
+            json_escape_into(out, result.trace.label(l));
+            out.push('"');
+            Ok(())
+        }
+        FieldValue::Time(t) => write!(out, "\"{t}\""),
+    };
+}
+
+/// Appends `,"name":value` for every typed field of a span or event.
+fn write_fields(out: &mut String, result: &RunResult, fields: &[(Label, FieldValue)]) {
+    for &(name, value) in fields {
+        out.push_str(",\"");
+        json_escape_into(out, result.trace.label(name));
+        out.push_str("\":");
+        write_field_value(out, result, value);
     }
 }
 
@@ -77,78 +104,89 @@ fn json_field_value(result: &RunResult, value: FieldValue) -> String {
 /// become `"ph":"i"` thread-scoped instants. If the run recorded phase
 /// timelines, the hub power waveform from [`RunResult::power_trace`] is
 /// emitted as a `power_mw` counter track (`"ph":"C"`).
+///
+/// The whole document is written into one `String`, pre-sized from the
+/// span, event and power-point counts; every event after the first is
+/// preceded by `,\n`.
 #[must_use]
 pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\
-         \"args\":{{\"name\":\"iotse {} seed={}\"}}}}",
-        json_escape(&result.scheme.to_string()),
-        result.seed
-    ));
-    events.push(
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\
-         \"args\":{\"name\":\"spans\"}}"
-            .to_string(),
+    let trace = &result.trace;
+    let power = result.power_trace(cal);
+    let power_points = power.as_ref().map_or(0, |p| p.points().len() + 1);
+    let (windows, alerts) = result.telemetry.as_ref().map_or((0, 0), |tel| {
+        let windows = tel
+            .stacks
+            .all_series()
+            .first()
+            .map_or(0, |s| s.points().len());
+        (windows, tel.alerts.len())
+    });
+    // Typical line lengths, rounded up: a span is ~150 bytes, an instant
+    // ~140, a power sample ~78, a stack sample ~188.
+    let mut out = String::with_capacity(
+        256 + 160 * trace.spans().len()
+            + 144 * trace.events().len()
+            + 80 * power_points
+            + 192 * windows
+            + 256 * alerts,
     );
 
-    for span in result.trace.spans() {
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    out.push_str(
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"iotse ",
+    );
+    json_escape_into(&mut out, &result.scheme.to_string());
+    let _ = write!(out, " seed={}\"}}}}", result.seed);
+    out.push_str(
+        ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\
+         \"args\":{\"name\":\"spans\"}}",
+    );
+
+    for span in trace.spans() {
         let exit = span.exit.unwrap_or(span.enter);
-        let mut args = format!("\"energy_self_uj\":{:.3}", span.weight);
-        for &(name, value) in &span.fields {
-            let _ = write!(
-                args,
-                ",\"{}\":{}",
-                json_escape(result.trace.label(name)),
-                json_field_value(result, value)
-            );
-        }
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{:.3},\
-             \"pid\":1,\"tid\":1,\"args\":{{{args}}}}}",
-            json_escape(result.trace.label(span.label)),
-            span.kind,
-            ts_micros(span.enter),
-            (exit.as_nanos() - span.enter.as_nanos()) as f64 / 1e3,
-        ));
-    }
-
-    for event in result.trace.events() {
-        let mut args = format!(
-            "\"source\":\"{}\"",
-            json_escape(result.trace.label(event.source))
+        out.push_str(",\n{\"name\":\"");
+        json_escape_into(&mut out, trace.label(span.label));
+        let _ = write!(out, "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":", span.kind);
+        write_micros(&mut out, span.enter.as_nanos());
+        out.push_str(",\"dur\":");
+        write_micros(&mut out, exit.as_nanos() - span.enter.as_nanos());
+        let _ = write!(
+            out,
+            ",\"pid\":1,\"tid\":1,\"args\":{{\"energy_self_uj\":{:.3}",
+            span.weight
         );
-        for &(name, value) in &event.fields {
-            let _ = write!(
-                args,
-                ",\"{}\":{}",
-                json_escape(result.trace.label(name)),
-                json_field_value(result, value)
-            );
-        }
-        let kind = event.kind;
-        events.push(format!(
-            "{{\"name\":\"{kind}\",\"cat\":\"{kind}\",\"ph\":\"i\",\"ts\":{},\"s\":\"t\",\
-             \"pid\":1,\"tid\":1,\"args\":{{{args}}}}}",
-            ts_micros(event.time),
-        ));
+        write_fields(&mut out, result, &span.fields);
+        out.push_str("}}");
     }
 
-    if let Some(power) = result.power_trace(cal) {
+    for event in trace.events() {
+        let kind = event.kind;
+        let _ = write!(
+            out,
+            ",\n{{\"name\":\"{kind}\",\"cat\":\"{kind}\",\"ph\":\"i\",\"ts\":"
+        );
+        write_micros(&mut out, event.time.as_nanos());
+        out.push_str(",\"s\":\"t\",\"pid\":1,\"tid\":1,\"args\":{\"source\":\"");
+        json_escape_into(&mut out, trace.label(event.source));
+        out.push('"');
+        write_fields(&mut out, result, &event.fields);
+        out.push_str("}}");
+    }
+
+    if let Some(power) = &power {
         for &(t, p) in power.points() {
-            events.push(format!(
-                "{{\"name\":\"power_mw\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\
-                 \"args\":{{\"mw\":{:.3}}}}}",
-                ts_micros(t),
+            out.push_str(",\n{\"name\":\"power_mw\",\"ph\":\"C\",\"ts\":");
+            write_micros(&mut out, t.as_nanos());
+            let _ = write!(
+                out,
+                ",\"pid\":1,\"args\":{{\"mw\":{:.3}}}}}",
                 p.as_milliwatts()
-            ));
+            );
         }
         if let Some(end) = power.end() {
-            events.push(format!(
-                "{{\"name\":\"power_mw\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\
-                 \"args\":{{\"mw\":0.000}}}}",
-                ts_micros(end)
-            ));
+            out.push_str(",\n{\"name\":\"power_mw\",\"ph\":\"C\",\"ts\":");
+            write_micros(&mut out, end.as_nanos());
+            out.push_str(",\"pid\":1,\"args\":{\"mw\":0.000}}");
         }
     }
 
@@ -159,48 +197,37 @@ pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
         let series = tel.stacks.all_series();
         if let Some(first) = series.first() {
             for (w, &(t, _)) in first.points().iter().enumerate() {
-                let mut args = String::new();
+                out.push_str(",\n{\"name\":\"energy_stack_uj\",\"ph\":\"C\",\"ts\":");
+                write_micros(&mut out, t.as_nanos());
+                out.push_str(",\"pid\":1,\"args\":{");
                 for (i, &routine) in Routine::ALL.iter().enumerate() {
                     if i > 0 {
-                        args.push(',');
+                        out.push(',');
                     }
                     let _ = write!(
-                        args,
+                        out,
                         "\"{}\":{:.3}",
                         routine_key(routine),
                         series[i].points()[w].1
                     );
                 }
-                events.push(format!(
-                    "{{\"name\":\"energy_stack_uj\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\
-                     \"args\":{{{args}}}}}",
-                    ts_micros(t)
-                ));
+                out.push_str("}}");
             }
         }
         // Every detector alert becomes a global instant, visible as a
         // marker at the boundary where it fired.
         for alert in &tel.alerts {
-            events.push(format!(
-                "{{\"name\":\"telemetry_alert\",\"cat\":\"alert\",\"ph\":\"i\",\"ts\":{},\
-                 \"s\":\"g\",\"pid\":1,\"tid\":1,\
-                 \"args\":{{\"series\":\"{}\",\"detail\":\"{}\"}}}}",
-                ts_micros(alert.at),
-                json_escape(alert.series),
-                json_escape(&alert.to_string())
-            ));
+            out.push_str(",\n{\"name\":\"telemetry_alert\",\"cat\":\"alert\",\"ph\":\"i\",\"ts\":");
+            write_micros(&mut out, alert.at.as_nanos());
+            out.push_str(",\"s\":\"g\",\"pid\":1,\"tid\":1,\"args\":{\"series\":\"");
+            json_escape_into(&mut out, alert.series);
+            out.push_str("\",\"detail\":\"");
+            json_escape_into(&mut out, &alert.to_string());
+            out.push_str("\"}}");
         }
     }
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
+    out.push_str("\n]}\n");
     out
 }
 
@@ -249,6 +276,22 @@ pub fn prometheus(report: &MetricsReport) -> String {
     out
 }
 
+/// Escapes a Prometheus label value. The text exposition format allows
+/// exactly three escapes — `\\`, `\"` and `\n` — and takes every other
+/// character, tabs and other control characters included, literally.
+fn prom_label_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Renders a run's windowed telemetry in the Prometheus text exposition
 /// format, for appending after [`prometheus`]: every stack and app series
 /// point becomes a `{window="N"}`-labeled gauge sample (app series carry
@@ -277,12 +320,12 @@ pub fn prometheus_telemetry(tel: &Telemetry) -> String {
             iotse_core::telemetry::APP_SLACK_SERIES
         );
         for app in &tel.apps {
+            let name = prom_label_escape(&app.name);
             for (w, &(_, v)) in app.slack_ms.points().iter().enumerate() {
                 let _ = writeln!(
                     out,
-                    "{}{{app=\"{}\",window=\"{w}\"}} {}",
+                    "{}{{app=\"{name}\",window=\"{w}\"}} {}",
                     iotse_core::telemetry::APP_SLACK_SERIES,
-                    json_escape(&app.name),
                     prom_number(v)
                 );
             }
@@ -293,12 +336,12 @@ pub fn prometheus_telemetry(tel: &Telemetry) -> String {
             iotse_core::telemetry::APP_PROCESSING_SERIES
         );
         for app in &tel.apps {
+            let name = prom_label_escape(&app.name);
             for (w, &(_, v)) in app.processing_ms.points().iter().enumerate() {
                 let _ = writeln!(
                     out,
-                    "{}{{app=\"{}\",window=\"{w}\"}} {}",
+                    "{}{{app=\"{name}\",window=\"{w}\"}} {}",
                     iotse_core::telemetry::APP_PROCESSING_SERIES,
-                    json_escape(&app.name),
                     prom_number(v)
                 );
             }
@@ -399,11 +442,73 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn json_escape(s: &str) -> String {
+        let mut out = String::new();
+        json_escape_into(&mut out, s);
+        out
+    }
+
     #[test]
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("tab\there\r"), "tab\\there\\r");
         assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("µJ;ü"), "µJ;ü");
+    }
+
+    fn micros(ns: u64) -> String {
+        let mut out = String::new();
+        write_micros(&mut out, ns);
+        out
+    }
+
+    /// Below this many nanoseconds (2^43 µs, about 101.8 simulated days)
+    /// the float form `format!("{:.3}", ns as f64 / 1e3)` is exact.
+    const FLOAT_EXACT_NS: u64 = (1 << 43) * 1000;
+
+    #[test]
+    fn integer_micros_match_the_float_form() {
+        use iotse_sim::rng::SimRng;
+        let float = |ns: u64| format!("{:.3}", ns as f64 / 1e3);
+        for ns in [
+            0,
+            1,
+            999,
+            1_000,
+            1_001,
+            999_999,
+            FLOAT_EXACT_NS - 1,
+            1 << 53,
+        ] {
+            assert_eq!(micros(ns), float(ns), "ns = {ns}");
+        }
+        let mut rng = SimRng::seed_from_u64(0x7153);
+        for _ in 0..20_000 {
+            // A random bit width first, so every magnitude is drawn.
+            let bits = rng.gen_range(1..=53u32);
+            let ns = (rng.next_u64() >> (64 - bits)) % FLOAT_EXACT_NS;
+            assert_eq!(micros(ns), float(ns), "ns = {ns}");
+        }
+        // Past the bound the float quotient is no longer exact; the integer
+        // form still is.
+        assert_eq!(micros(FLOAT_EXACT_NS + 1), "8796093022208.001");
+        assert_eq!(float(FLOAT_EXACT_NS + 1), "8796093022208.002");
+    }
+
+    #[test]
+    fn prom_label_escape_keeps_tabs_literal() {
+        let name = "Step\tcounter \"v2\"\\\n";
+        assert_eq!(prom_label_escape(name), "Step\tcounter \\\"v2\\\"\\\\\\n");
+        assert_eq!(prom_label_escape("Step counter"), "Step counter");
+        let mut result = telemetry_run();
+        let tel = result.telemetry.as_mut().expect("telemetry on");
+        tel.apps[0].name = name.to_string();
+        let text = prometheus_telemetry(tel);
+        assert!(text.contains(
+            "iotse_core_app_slack_ms{app=\"Step\tcounter \\\"v2\\\"\\\\\\n\",window=\"0\"}"
+        ));
+        assert!(!text.contains("\\t") && !text.contains("\\u00"));
     }
 
     #[test]

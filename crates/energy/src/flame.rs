@@ -25,8 +25,9 @@
 //! Tests assert `==` on it, not a tolerance.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use iotse_sim::trace::TraceLog;
+use iotse_sim::trace::{Label, SpanId, TraceLog};
 
 /// One folded stack: every span sharing a root-to-leaf label path
 /// aggregates into a single frame.
@@ -65,6 +66,16 @@ pub struct FlameGraph {
 }
 
 /// Folds the span tree of `trace` into a [`FlameGraph`].
+///
+/// Paths are interned rather than rebuilt per span. Spans with the same
+/// `;`-joined path form one *path class*; a span's class is looked up by
+/// `(parent's class, label)`, and because parents precede their children
+/// in span order one forward pass assigns every class. A new key's joined
+/// path is built once and matched against the known paths by string, so
+/// two distinct span paths whose strings collide (labels may contain `;`)
+/// still merge into one stack. Weights accumulate per class and per label
+/// in span order: every sum is the same float operations as a fold keyed
+/// by each span's joined string.
 #[must_use]
 pub fn fold(trace: &TraceLog) -> FlameGraph {
     let spans = trace.spans();
@@ -75,44 +86,70 @@ pub fn fold(trace: &TraceLog) -> FlameGraph {
     // child before its parent.
     let mut totals = weights.clone();
     for i in (0..spans.len()).rev() {
-        if let Some(p) = spans[i].parent.and_then(iotse_sim::trace::SpanId::index) {
+        if let Some(p) = spans[i].parent.and_then(SpanId::index) {
             totals[p] += totals[i];
         }
     }
 
-    let mut by_stack: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-    let mut by_label: BTreeMap<String, (usize, f64, f64)> = BTreeMap::new();
+    let mut interned: BTreeMap<(Option<usize>, Label), usize> = BTreeMap::new();
+    let mut by_path: BTreeMap<String, usize> = BTreeMap::new();
+    let mut paths: Vec<String> = Vec::new();
+    let mut sums: Vec<(f64, usize)> = Vec::new();
+    let mut span_class: Vec<usize> = Vec::with_capacity(spans.len());
+    let mut by_label: BTreeMap<Label, (usize, f64, f64)> = BTreeMap::new();
     for (i, span) in spans.iter().enumerate() {
-        let stack = trace.stack(iotse_sim::trace::SpanId::from_index(i));
-        let entry = by_stack.entry(stack).or_insert((0.0, 0));
-        entry.0 += weights[i];
-        entry.1 += 1;
-        let label = trace.label(span.label).to_string();
-        let frame = by_label.entry(label).or_insert((0, 0.0, 0.0));
+        let parent = span
+            .parent
+            .and_then(SpanId::index)
+            .and_then(|p| span_class.get(p).copied());
+        let class = if let Some(&class) = interned.get(&(parent, span.label)) {
+            class
+        } else {
+            let label = trace.label(span.label);
+            let path =
+                parent.map_or_else(|| label.to_string(), |c| format!("{};{label}", paths[c]));
+            let class = *by_path.entry(path.clone()).or_insert(paths.len());
+            if class == paths.len() {
+                paths.push(path);
+                sums.push((0.0, 0));
+            }
+            interned.insert((parent, span.label), class);
+            class
+        };
+        span_class.push(class);
+        sums[class].0 += weights[i];
+        sums[class].1 += 1;
+        let frame = by_label.entry(span.label).or_insert((0, 0.0, 0.0));
         frame.0 += 1;
         frame.1 += weights[i];
         frame.2 += totals[i];
     }
 
+    let mut frames: Vec<FrameTotals> = by_label
+        .into_iter()
+        .map(|(label, (count, s, t))| FrameTotals {
+            label: trace.label(label).to_string(),
+            count,
+            self_microjoules: s,
+            total_microjoules: t,
+        })
+        .collect();
+    frames.sort_by(|a, b| a.label.cmp(&b.label));
+
     FlameGraph {
         weights,
-        stacks: by_stack
+        stacks: by_path
             .into_iter()
-            .map(|(stack, (self_microjoules, spans))| FoldedStack {
-                stack,
-                self_microjoules,
-                spans,
+            .map(|(stack, class)| {
+                let (self_microjoules, spans) = sums[class];
+                FoldedStack {
+                    stack,
+                    self_microjoules,
+                    spans,
+                }
             })
             .collect(),
-        frames: by_label
-            .into_iter()
-            .map(|(label, (count, s, t))| FrameTotals {
-                label,
-                count,
-                self_microjoules: s,
-                total_microjoules: t,
-            })
-            .collect(),
+        frames,
     }
 }
 
@@ -149,13 +186,12 @@ impl FlameGraph {
     pub fn folded(&self) -> String {
         let mut out = String::new();
         for s in &self.stacks {
-            out.push_str(&s.stack);
-            out.push(' ');
-            out.push_str(&format!(
-                "{}",
+            let _ = writeln!(
+                out,
+                "{} {}",
+                s.stack,
                 microjoules_to_nanojoules(s.self_microjoules)
-            ));
-            out.push('\n');
+            );
         }
         out
     }
@@ -166,10 +202,11 @@ impl FlameGraph {
         let mut out =
             String::from("label                        count        self-uJ       total-uJ\n");
         for f in &self.frames {
-            out.push_str(&format!(
-                "{:<28} {:>5} {:>14.3} {:>14.3}\n",
+            let _ = writeln!(
+                out,
+                "{:<28} {:>5} {:>14.3} {:>14.3}",
                 f.label, f.count, f.self_microjoules, f.total_microjoules
-            ));
+            );
         }
         out
     }
