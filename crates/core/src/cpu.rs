@@ -9,18 +9,13 @@
 //! the platform knows no data path will need the CPU for a long time (pure
 //! COM, or an idle hub), it deep-sleeps.
 //!
-//! The account's mutable power state (watermarks, phase residencies, sleep
-//! episodes) lives in a shared struct-of-arrays [`PowerBank`] — see
-//! [`crate::power`] — so a fleet of accounts integrates energy over
-//! contiguous slabs. The account itself keeps only its calibration, policy,
-//! [`Lane`] handle, and optional timeline.
+//! Phase residencies are integer nanoseconds, so [`CpuStats`] is exact.
 
 use iotse_energy::attribution::{Device, EnergyLedger, Routine};
 use iotse_energy::units::Energy;
 use iotse_sim::time::{SimDuration, SimTime};
 
 use crate::calibration::Calibration;
-use crate::power::{Lane, PowerBank, P_BUSY, P_DEEP, P_IDLE, P_SLEEP, P_TRANS};
 
 /// What the CPU was doing in one timeline segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,29 +108,27 @@ impl CpuStats {
 }
 
 /// The CPU account: watermark serialization, gap policy, energy charging,
-/// and an optional phase timeline. Mutable power state lives in the lane
-/// this account claims from its [`PowerBank`].
+/// and an optional phase timeline.
 #[derive(Debug)]
 pub struct CpuAccount {
     cal: Calibration,
     policy: GapPolicy,
-    lane: Lane,
+    busy_until: SimTime,
+    accounted_until: SimTime,
+    stats: CpuStats,
     timeline: Option<Vec<(SimTime, CpuPhase)>>,
 }
 
 impl CpuAccount {
-    /// Creates the account starting at `start`, claiming a lane of `bank`.
+    /// Creates the account starting at `start`.
     #[must_use]
-    pub fn new<const N: usize>(
-        cal: Calibration,
-        policy: GapPolicy,
-        bank: &mut PowerBank<N>,
-        start: SimTime,
-    ) -> Self {
+    pub fn new(cal: Calibration, policy: GapPolicy, start: SimTime) -> Self {
         CpuAccount {
             cal,
             policy,
-            lane: bank.lane(start),
+            busy_until: start,
+            accounted_until: start,
+            stats: CpuStats::default(),
             timeline: None,
         }
     }
@@ -153,30 +146,16 @@ impl CpuAccount {
         self.policy
     }
 
-    /// The bank lane this account's power state lives in.
-    #[must_use]
-    pub fn lane(&self) -> Lane {
-        self.lane
-    }
-
     /// When the CPU becomes free.
     #[must_use]
-    pub fn busy_until<const N: usize>(&self, bank: &PowerBank<N>) -> SimTime {
-        bank.busy_until(self.lane)
+    pub fn busy_until(&self) -> SimTime {
+        self.busy_until
     }
 
-    /// Statistics so far, assembled from the bank's phase slab (integer
-    /// nanosecond sums — bit-identical to scalar accumulation).
+    /// Statistics so far.
     #[must_use]
-    pub fn stats<const N: usize>(&self, bank: &PowerBank<N>) -> CpuStats {
-        CpuStats {
-            busy: bank.phase(self.lane, P_BUSY),
-            idle_active: bank.phase(self.lane, P_IDLE),
-            transition: bank.phase(self.lane, P_TRANS),
-            sleep: bank.phase(self.lane, P_SLEEP),
-            deep_sleep: bank.phase(self.lane, P_DEEP),
-            sleep_episodes: bank.sleep_episodes(self.lane),
-        }
+    pub fn stats(&self) -> CpuStats {
+        self.stats
     }
 
     /// The recorded `(start, phase)` timeline, if enabled.
@@ -198,22 +177,21 @@ impl CpuAccount {
     /// task allow. Energy is charged to `(Cpu, routine)`; the preceding gap
     /// is charged per the gap policy.
     // iotse-lint: hot-path
-    pub fn task<const N: usize>(
+    pub fn task(
         &mut self,
-        bank: &mut PowerBank<N>,
         ledger: &mut EnergyLedger,
         ready: SimTime,
         duration: SimDuration,
         routine: Routine,
     ) -> (SimTime, SimTime) {
-        let start = ready.max(bank.busy_until(self.lane));
-        self.account_gap(bank, ledger, start);
+        let start = ready.max(self.busy_until);
+        self.account_gap(ledger, start);
         let end = start + duration;
         ledger.charge(Device::Cpu, routine, self.cal.cpu_active * duration);
-        bank.add_phase(self.lane, P_BUSY, duration);
+        self.stats.busy += duration;
         self.record(start, CpuPhase::Busy);
-        bank.set_busy_until(self.lane, end);
-        bank.set_accounted_until(self.lane, end);
+        self.busy_until = end;
+        self.accounted_until = end;
         (start, end)
     }
 
@@ -225,13 +203,8 @@ impl CpuAccount {
     ///
     /// Panics if `until` precedes already-accounted time.
     // iotse-lint: hot-path
-    pub fn account_gap<const N: usize>(
-        &mut self,
-        bank: &mut PowerBank<N>,
-        ledger: &mut EnergyLedger,
-        until: SimTime,
-    ) {
-        let accounted_until = bank.accounted_until(self.lane);
+    pub fn account_gap(&mut self, ledger: &mut EnergyLedger, until: SimTime) {
+        let accounted_until = self.accounted_until;
         assert!(
             until >= accounted_until,
             "gap accounting must move forward ({until} < {accounted_until})"
@@ -248,39 +221,34 @@ impl CpuAccount {
         let energy: Energy = if deep_ok {
             let trans = self.cal.cpu_deep_transition_time.min(gap);
             let asleep = gap - trans;
-            bank.add_phase(self.lane, P_TRANS, trans);
-            bank.add_phase(self.lane, P_DEEP, asleep);
-            bank.add_sleep_episode(self.lane);
+            self.stats.transition += trans;
+            self.stats.deep_sleep += asleep;
+            self.stats.sleep_episodes += 1;
             self.record(at, CpuPhase::Transition);
             self.record(at + trans, CpuPhase::DeepSleep);
             self.cal.cpu_transition_power * trans + self.cal.cpu_deep_sleep * asleep
         } else if may_sleep && gap >= self.cal.sleep_break_even {
             let trans = self.cal.cpu_transition_time.min(gap);
             let asleep = gap - trans;
-            bank.add_phase(self.lane, P_TRANS, trans);
-            bank.add_phase(self.lane, P_SLEEP, asleep);
-            bank.add_sleep_episode(self.lane);
+            self.stats.transition += trans;
+            self.stats.sleep += asleep;
+            self.stats.sleep_episodes += 1;
             self.record(at, CpuPhase::Transition);
             self.record(at + trans, CpuPhase::Sleep);
             self.cal.cpu_transition_power * trans + self.cal.cpu_sleep * asleep
         } else {
-            bank.add_phase(self.lane, P_IDLE, gap);
+            self.stats.idle_active += gap;
             self.record(at, CpuPhase::IdleActive);
             self.cal.cpu_active * gap
         };
         ledger.charge(Device::Cpu, routine, energy);
-        bank.set_accounted_until(self.lane, until);
+        self.accounted_until = until;
     }
 
     /// Closes the account at `end` (accounts the trailing gap).
-    pub fn finish<const N: usize>(
-        &mut self,
-        bank: &mut PowerBank<N>,
-        ledger: &mut EnergyLedger,
-        end: SimTime,
-    ) {
-        let end = end.max(bank.accounted_until(self.lane));
-        self.account_gap(bank, ledger, end);
+    pub fn finish(&mut self, ledger: &mut EnergyLedger, end: SimTime) {
+        let end = end.max(self.accounted_until);
+        self.account_gap(ledger, end);
     }
 }
 
@@ -295,17 +263,15 @@ mod tests {
         }
     }
 
-    fn account() -> (CpuAccount, PowerBank<1>, EnergyLedger) {
-        let mut bank = PowerBank::new();
-        let cpu = CpuAccount::new(Calibration::paper(), policy(), &mut bank, SimTime::ZERO);
-        (cpu, bank, EnergyLedger::new())
+    fn account() -> (CpuAccount, EnergyLedger) {
+        let cpu = CpuAccount::new(Calibration::paper(), policy(), SimTime::ZERO);
+        (cpu, EnergyLedger::new())
     }
 
     #[test]
     fn tasks_serialize_on_the_watermark() {
-        let (mut cpu, mut bank, mut ledger) = account();
+        let (mut cpu, mut ledger) = account();
         let (s1, e1) = cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_millis(5),
@@ -314,21 +280,19 @@ mod tests {
         assert_eq!((s1, e1), (SimTime::ZERO, SimTime::from_millis(5)));
         // Ready at 1 ms but CPU busy until 5 ms.
         let (s2, e2) = cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(1),
             SimDuration::from_millis(2),
             Routine::Interrupt,
         );
         assert_eq!((s2, e2), (SimTime::from_millis(5), SimTime::from_millis(7)));
-        assert_eq!(cpu.stats(&bank).busy, SimDuration::from_millis(7));
+        assert_eq!(cpu.stats().busy, SimDuration::from_millis(7));
     }
 
     #[test]
     fn short_gap_stays_active_and_is_charged_to_policy_routine() {
-        let (mut cpu, mut bank, mut ledger) = account();
+        let (mut cpu, mut ledger) = account();
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_micros(100),
@@ -336,13 +300,12 @@ mod tests {
         );
         // 0.5 ms gap < 1.143 ms break-even.
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_micros(600),
             SimDuration::from_micros(100),
             Routine::Interrupt,
         );
-        let stats = cpu.stats(&bank);
+        let stats = cpu.stats();
         assert_eq!(stats.idle_active, SimDuration::from_micros(500));
         assert_eq!(stats.sleep, SimDuration::ZERO);
         // Gap energy: 5 W × 0.5 ms = 2.5 mJ on DataTransfer.
@@ -352,9 +315,8 @@ mod tests {
 
     #[test]
     fn long_gap_sleeps_with_transition_cost() {
-        let (mut cpu, mut bank, mut ledger) = account();
+        let (mut cpu, mut ledger) = account();
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_micros(100),
@@ -362,13 +324,12 @@ mod tests {
         );
         // 9.9 ms gap ≥ break-even ⇒ transition (1.6 ms) + sleep (8.3 ms).
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(10),
             SimDuration::from_micros(100),
             Routine::Interrupt,
         );
-        let stats = cpu.stats(&bank);
+        let stats = cpu.stats();
         assert_eq!(stats.transition, SimDuration::from_micros(1_600));
         assert_eq!(stats.sleep, SimDuration::from_micros(8_300));
         assert_eq!(stats.sleep_episodes, 1);
@@ -381,83 +342,73 @@ mod tests {
     fn deep_sleep_only_when_allowed() {
         let cal = Calibration::paper();
         let mut ledger = EnergyLedger::new();
-        let mut bank: PowerBank<1> = PowerBank::new();
         let mut com_cpu = CpuAccount::new(
             cal.clone(),
             GapPolicy {
                 sleep: SleepPolicy::Deep,
                 gap_routine: Routine::AppCompute,
             },
-            &mut bank,
             SimTime::ZERO,
         );
         com_cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_micros(50),
             Routine::Interrupt,
         );
         com_cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_secs(1),
             SimDuration::from_micros(50),
             Routine::Interrupt,
         );
-        let stats = com_cpu.stats(&bank);
+        let stats = com_cpu.stats();
         assert!(stats.deep_sleep > SimDuration::from_millis(990));
         assert_eq!(stats.sleep, SimDuration::ZERO);
         // Same gap without deep-sleep permission lands in light sleep.
-        let (mut base_cpu, mut b2, mut l2) = account();
+        let (mut base_cpu, mut l2) = account();
         base_cpu.task(
-            &mut b2,
             &mut l2,
             SimTime::ZERO,
             SimDuration::from_micros(50),
             Routine::Interrupt,
         );
         base_cpu.task(
-            &mut b2,
             &mut l2,
             SimTime::from_secs(1),
             SimDuration::from_micros(50),
             Routine::Interrupt,
         );
-        assert!(base_cpu.stats(&b2).sleep > SimDuration::from_millis(990));
-        assert_eq!(base_cpu.stats(&b2).deep_sleep, SimDuration::ZERO);
+        assert!(base_cpu.stats().sleep > SimDuration::from_millis(990));
+        assert_eq!(base_cpu.stats().deep_sleep, SimDuration::ZERO);
     }
 
     #[test]
     fn never_policy_pins_the_cpu_active() {
         // The Baseline blocking-poll design (Figure 5a): even a one-second
         // gap stays idle-active.
-        let mut bank: PowerBank<1> = PowerBank::new();
         let mut cpu = CpuAccount::new(
             Calibration::paper(),
             GapPolicy {
                 sleep: SleepPolicy::Never,
                 gap_routine: Routine::DataTransfer,
             },
-            &mut bank,
             SimTime::ZERO,
         );
         let mut ledger = EnergyLedger::new();
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_micros(50),
             Routine::Interrupt,
         );
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_secs(1),
             SimDuration::from_micros(50),
             Routine::Interrupt,
         );
-        let stats = cpu.stats(&bank);
+        let stats = cpu.stats();
         assert_eq!(stats.sleep, SimDuration::ZERO);
         assert_eq!(stats.deep_sleep, SimDuration::ZERO);
         assert_eq!(stats.sleep_episodes, 0);
@@ -468,51 +419,46 @@ mod tests {
     #[test]
     fn sleep_fraction_matches_paper_batching_story() {
         // Batching: CPU busy ~100 ms of a 1 s window, sleeping the rest.
-        let (mut cpu, mut bank, mut ledger) = account();
+        let (mut cpu, mut ledger) = account();
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(900),
             SimDuration::from_millis(100),
             Routine::DataTransfer,
         );
-        cpu.finish(&mut bank, &mut ledger, SimTime::from_secs(1));
-        let f = cpu.stats(&bank).sleep_fraction();
+        cpu.finish(&mut ledger, SimTime::from_secs(1));
+        let f = cpu.stats().sleep_fraction();
         assert!(f > 0.88 && f < 0.92, "sleep fraction {f}");
     }
 
     #[test]
     fn finish_accounts_trailing_gap() {
-        let (mut cpu, mut bank, mut ledger) = account();
+        let (mut cpu, mut ledger) = account();
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_millis(1),
             Routine::AppCompute,
         );
-        cpu.finish(&mut bank, &mut ledger, SimTime::from_millis(11));
-        assert_eq!(cpu.stats(&bank).total(), SimDuration::from_millis(11));
+        cpu.finish(&mut ledger, SimTime::from_millis(11));
+        assert_eq!(cpu.stats().total(), SimDuration::from_millis(11));
         // Idempotent for non-advancing end.
-        cpu.finish(&mut bank, &mut ledger, SimTime::from_millis(11));
-        assert_eq!(cpu.stats(&bank).total(), SimDuration::from_millis(11));
+        cpu.finish(&mut ledger, SimTime::from_millis(11));
+        assert_eq!(cpu.stats().total(), SimDuration::from_millis(11));
     }
 
     #[test]
     fn timeline_records_phases() {
-        let mut bank: PowerBank<1> = PowerBank::new();
-        let mut cpu = CpuAccount::new(Calibration::paper(), policy(), &mut bank, SimTime::ZERO)
-            .with_timeline();
+        let mut cpu =
+            CpuAccount::new(Calibration::paper(), policy(), SimTime::ZERO).with_timeline();
         let mut ledger = EnergyLedger::new();
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_millis(1),
             Routine::Interrupt,
         );
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(50),
             SimDuration::from_millis(1),
@@ -532,41 +478,32 @@ mod tests {
 
     #[test]
     fn energy_conservation_against_manual_integral() {
-        let (mut cpu, mut bank, mut ledger) = account();
+        let (mut cpu, mut ledger) = account();
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_millis(2),
             Routine::Interrupt,
         );
         cpu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(10),
             SimDuration::from_millis(3),
             Routine::AppCompute,
         );
-        cpu.finish(&mut bank, &mut ledger, SimTime::from_millis(13));
+        cpu.finish(&mut ledger, SimTime::from_millis(13));
         let cal = Calibration::paper();
         let expected = cal.cpu_active * SimDuration::from_millis(5) // busy
             + cal.cpu_transition_power * cal.cpu_transition_time
             + cal.cpu_sleep * (SimDuration::from_millis(8) - cal.cpu_transition_time);
         let total = ledger.device_total(Device::Cpu);
         assert!((total.as_millijoules() - expected.as_millijoules()).abs() < 1e-9);
-        // The ledger total is exactly the bank's phase-slab dot product
-        // against the calibration's per-phase power vector — the SoA
-        // integration path agrees with the per-gap charges.
-        let integrated = bank.integrate(
-            cpu.lane(),
-            &[
-                cal.cpu_active,
-                cal.cpu_active,
-                cal.cpu_transition_power,
-                cal.cpu_sleep,
-                cal.cpu_deep_sleep,
-            ],
-        );
-        assert!((total.as_millijoules() - integrated.as_millijoules()).abs() < 1e-9);
+        // The phase residencies in `stats()` price to the same total.
+        let s = cpu.stats();
+        let priced = cal.cpu_active * (s.busy + s.idle_active)
+            + cal.cpu_transition_power * s.transition
+            + cal.cpu_sleep * s.sleep
+            + cal.cpu_deep_sleep * s.deep_sleep;
+        assert!((total.as_millijoules() - priced.as_millijoules()).abs() < 1e-9);
     }
 }

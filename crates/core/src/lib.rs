@@ -59,7 +59,6 @@ pub mod compute_cache;
 pub mod cpu;
 pub mod executor;
 pub mod mcu;
-pub mod power;
 pub mod result;
 pub mod robustness;
 pub mod runner;

@@ -5,17 +5,11 @@
 //! the **batch buffer** (Batching stores sensor samples in the MCU's spare
 //! RAM until the window closes or the buffer fills) and the **memory/MIPS
 //! budget** that decides which apps are offloadable (COM).
-//!
-//! Watermarks and phase residencies live in a shared struct-of-arrays
-//! [`PowerBank`] (see [`crate::power`]); the account keeps the calibration,
-//! buffer/memory bookkeeping, its [`Lane`] handle, and the optional
-//! timeline.
 
 use iotse_energy::attribution::{Device, EnergyLedger, Routine};
 use iotse_sim::time::{SimDuration, SimTime};
 
 use crate::calibration::Calibration;
-use crate::power::{Lane, PowerBank, P_BUSY, P_IDLE, P_SLEEP};
 
 /// What the MCU was doing in one timeline segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,9 +84,9 @@ impl std::error::Error for McuMemoryError {}
 #[derive(Debug)]
 pub struct McuAccount {
     cal: Calibration,
-    lane: Lane,
-    buffer_high_water: usize,
-    forced_flushes: u64,
+    busy_until: SimTime,
+    accounted_until: SimTime,
+    stats: McuStats,
     reserved_bytes: usize,
     buffer_bytes: usize,
     gap_routine: Routine,
@@ -100,14 +94,14 @@ pub struct McuAccount {
 }
 
 impl McuAccount {
-    /// Creates the account starting at `start`, claiming a lane of `bank`.
+    /// Creates the account starting at `start`.
     #[must_use]
-    pub fn new<const N: usize>(cal: Calibration, bank: &mut PowerBank<N>, start: SimTime) -> Self {
+    pub fn new(cal: Calibration, start: SimTime) -> Self {
         McuAccount {
             cal,
-            lane: bank.lane(start),
-            buffer_high_water: 0,
-            forced_flushes: 0,
+            busy_until: start,
+            accounted_until: start,
+            stats: McuStats::default(),
             reserved_bytes: 0,
             buffer_bytes: 0,
             gap_routine: Routine::DataCollection,
@@ -130,28 +124,16 @@ impl McuAccount {
         self
     }
 
-    /// The bank lane this account's power state lives in.
-    #[must_use]
-    pub fn lane(&self) -> Lane {
-        self.lane
-    }
-
     /// When the MCU becomes free.
     #[must_use]
-    pub fn busy_until<const N: usize>(&self, bank: &PowerBank<N>) -> SimTime {
-        bank.busy_until(self.lane)
+    pub fn busy_until(&self) -> SimTime {
+        self.busy_until
     }
 
-    /// Statistics so far, assembled from the bank's phase slab.
+    /// Statistics so far.
     #[must_use]
-    pub fn stats<const N: usize>(&self, bank: &PowerBank<N>) -> McuStats {
-        McuStats {
-            busy: bank.phase(self.lane, P_BUSY),
-            idle: bank.phase(self.lane, P_IDLE),
-            sleep: bank.phase(self.lane, P_SLEEP),
-            buffer_high_water: self.buffer_high_water,
-            forced_flushes: self.forced_flushes,
-        }
+    pub fn stats(&self) -> McuStats {
+        self.stats
     }
 
     /// The recorded `(start, phase)` timeline, if enabled.
@@ -195,11 +177,11 @@ impl McuAccount {
     /// forced-flush counter is bumped).
     pub fn buffer_push(&mut self, bytes: usize) -> bool {
         if bytes > self.memory_available() {
-            self.forced_flushes += 1;
+            self.stats.forced_flushes += 1;
             return false;
         }
         self.buffer_bytes += bytes;
-        self.buffer_high_water = self.buffer_high_water.max(self.buffer_bytes);
+        self.stats.buffer_high_water = self.stats.buffer_high_water.max(self.buffer_bytes);
         true
     }
 
@@ -225,29 +207,24 @@ impl McuAccount {
     }
 
     /// Runs an MCU task of `duration` ready at `ready`, charged to
-    /// `(Mcu, routine)` plus `extra` watts (e.g. the sensor's own draw
-    /// during a read, charged to the sensor device). Returns `(start, end)`.
+    /// `(Mcu, routine)`. Returns `(start, end)`. A sensor's own draw during a
+    /// read is the caller's to charge.
     // iotse-lint: hot-path
-    pub fn task<const N: usize>(
+    pub fn task(
         &mut self,
-        bank: &mut PowerBank<N>,
         ledger: &mut EnergyLedger,
         ready: SimTime,
         duration: SimDuration,
         routine: Routine,
-        sensor_power: Option<iotse_energy::units::Power>,
     ) -> (SimTime, SimTime) {
-        let start = ready.max(bank.busy_until(self.lane));
-        self.account_gap(bank, ledger, start);
+        let start = ready.max(self.busy_until);
+        self.account_gap(ledger, start);
         let end = start + duration;
         ledger.charge(Device::Mcu, routine, self.cal.mcu_active * duration);
-        if let Some(p) = sensor_power {
-            ledger.charge(Device::Sensor, routine, p * duration);
-        }
-        bank.add_phase(self.lane, P_BUSY, duration);
+        self.stats.busy += duration;
         self.record(start, McuPhase::Busy);
-        bank.set_busy_until(self.lane, end);
-        bank.set_accounted_until(self.lane, end);
+        self.busy_until = end;
+        self.accounted_until = end;
         (start, end)
     }
 
@@ -260,13 +237,8 @@ impl McuAccount {
     ///
     /// Panics if `until` precedes already-accounted time.
     // iotse-lint: hot-path
-    pub fn account_gap<const N: usize>(
-        &mut self,
-        bank: &mut PowerBank<N>,
-        ledger: &mut EnergyLedger,
-        until: SimTime,
-    ) {
-        let accounted_until = bank.accounted_until(self.lane);
+    pub fn account_gap(&mut self, ledger: &mut EnergyLedger, until: SimTime) {
+        let accounted_until = self.accounted_until;
         assert!(
             until >= accounted_until,
             "gap accounting must move forward ({until} < {accounted_until})"
@@ -277,105 +249,90 @@ impl McuAccount {
         }
         let at = accounted_until;
         let energy = if gap >= self.cal.mcu_sleep_break_even {
-            bank.add_phase(self.lane, P_SLEEP, gap);
+            self.stats.sleep += gap;
             self.record(at, McuPhase::Sleep);
             self.cal.mcu_sleep * gap
         } else {
-            bank.add_phase(self.lane, P_IDLE, gap);
+            self.stats.idle += gap;
             self.record(at, McuPhase::Idle);
             self.cal.mcu_idle * gap
         };
         ledger.charge(Device::Mcu, self.gap_routine, energy);
-        bank.set_accounted_until(self.lane, until);
+        self.accounted_until = until;
     }
 
     /// Closes the account at `end`.
-    pub fn finish<const N: usize>(
-        &mut self,
-        bank: &mut PowerBank<N>,
-        ledger: &mut EnergyLedger,
-        end: SimTime,
-    ) {
-        let end = end.max(bank.accounted_until(self.lane));
-        self.account_gap(bank, ledger, end);
+    pub fn finish(&mut self, ledger: &mut EnergyLedger, end: SimTime) {
+        let end = end.max(self.accounted_until);
+        self.account_gap(ledger, end);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotse_energy::units::Power;
 
-    fn account() -> (McuAccount, PowerBank<1>, EnergyLedger) {
-        let mut bank = PowerBank::new();
-        let mcu = McuAccount::new(Calibration::paper(), &mut bank, SimTime::ZERO);
-        (mcu, bank, EnergyLedger::new())
+    fn account() -> (McuAccount, EnergyLedger) {
+        let mcu = McuAccount::new(Calibration::paper(), SimTime::ZERO);
+        (mcu, EnergyLedger::new())
     }
 
     #[test]
-    fn tasks_serialize_and_charge_sensor_power() {
-        let (mut mcu, mut bank, mut ledger) = account();
-        let sensor = Power::from_milliwatts(1.3);
+    fn tasks_serialize_and_charge_only_the_mcu() {
+        let (mut mcu, mut ledger) = account();
         let (s, e) = mcu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_micros(500),
             Routine::DataCollection,
-            Some(sensor),
         );
         assert_eq!((s, e), (SimTime::ZERO, SimTime::from_micros(500)));
-        let sensor_e = ledger.cell(Device::Sensor, Routine::DataCollection);
-        assert!((sensor_e.as_microjoules() - 0.65).abs() < 1e-9);
+        let mcu_e = ledger.cell(Device::Mcu, Routine::DataCollection);
+        let expected = Calibration::paper().mcu_active * SimDuration::from_micros(500);
+        assert!((mcu_e.as_microjoules() - expected.as_microjoules()).abs() < 1e-9);
+        // The sensor's draw during a read is the caller's to charge.
+        assert_eq!(ledger.device_total(Device::Sensor).as_microjoules(), 0.0);
         // Second task queued behind the first.
         let (s2, _) = mcu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_micros(100),
             SimDuration::from_micros(100),
             Routine::DataTransfer,
-            None,
         );
         assert_eq!(s2, SimTime::from_micros(500));
     }
 
     #[test]
     fn short_gaps_idle_long_gaps_sleep() {
-        let (mut mcu, mut bank, mut ledger) = account();
+        let (mut mcu, mut ledger) = account();
         mcu.task(
-            &mut bank,
             &mut ledger,
             SimTime::ZERO,
             SimDuration::from_micros(100),
             Routine::DataCollection,
-            None,
         );
         // 0.9 ms gap < 5 ms break-even ⇒ idle.
         mcu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(1),
             SimDuration::from_micros(100),
             Routine::DataCollection,
-            None,
         );
         // 100 ms gap ⇒ sleep.
         mcu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(101),
             SimDuration::from_micros(100),
             Routine::DataCollection,
-            None,
         );
-        let stats = mcu.stats(&bank);
+        let stats = mcu.stats();
         assert_eq!(stats.idle, SimDuration::from_micros(900));
         assert_eq!(stats.sleep, SimDuration::from_micros(99_900));
     }
 
     #[test]
     fn memory_reservation_enforces_budget() {
-        let (mut mcu, _, _) = account();
+        let (mut mcu, _) = account();
         assert_eq!(mcu.memory_available(), 80 * 1024);
         mcu.reserve_memory(60 * 1024).expect("fits");
         let err = mcu.reserve_memory(30 * 1024).expect_err("does not fit");
@@ -386,55 +343,49 @@ mod tests {
 
     #[test]
     fn buffer_tracks_high_water_and_forced_flushes() {
-        let (mut mcu, bank, _) = account();
+        let (mut mcu, _) = account();
         mcu.reserve_memory(70 * 1024).expect("fits");
         assert!(mcu.buffer_push(8 * 1024));
         assert!(mcu.buffer_push(2 * 1024));
         assert_eq!(mcu.buffer_len(), 10 * 1024);
         // Only 10 kB free now that reserve + buffer hold 80 kB… next push fails.
         assert!(!mcu.buffer_push(1));
-        assert_eq!(mcu.stats(&bank).forced_flushes, 1);
+        assert_eq!(mcu.stats().forced_flushes, 1);
         assert_eq!(mcu.buffer_drain(), 10 * 1024);
         assert_eq!(mcu.buffer_len(), 0);
         assert!(mcu.buffer_push(1), "drain frees space");
-        assert_eq!(mcu.stats(&bank).buffer_high_water, 10 * 1024);
+        assert_eq!(mcu.stats().buffer_high_water, 10 * 1024);
     }
 
     #[test]
     fn timeline_and_finish() {
-        let mut bank: PowerBank<1> = PowerBank::new();
-        let mut mcu =
-            McuAccount::new(Calibration::paper(), &mut bank, SimTime::ZERO).with_timeline();
+        let mut mcu = McuAccount::new(Calibration::paper(), SimTime::ZERO).with_timeline();
         let mut ledger = EnergyLedger::new();
         mcu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(10),
             SimDuration::from_millis(1),
             Routine::DataCollection,
-            None,
         );
-        mcu.finish(&mut bank, &mut ledger, SimTime::from_millis(12));
+        mcu.finish(&mut ledger, SimTime::from_millis(12));
         let phases: Vec<McuPhase> = mcu.timeline().unwrap().iter().map(|&(_, p)| p).collect();
         assert_eq!(
             phases,
             vec![McuPhase::Sleep, McuPhase::Busy, McuPhase::Idle]
         );
-        assert_eq!(mcu.stats(&bank).total(), SimDuration::from_millis(12));
+        assert_eq!(mcu.stats().total(), SimDuration::from_millis(12));
     }
 
     #[test]
     fn energy_matches_manual_integral() {
-        let (mut mcu, mut bank, mut ledger) = account();
+        let (mut mcu, mut ledger) = account();
         mcu.task(
-            &mut bank,
             &mut ledger,
             SimTime::from_millis(20),
             SimDuration::from_millis(2),
             Routine::DataCollection,
-            None,
         );
-        mcu.finish(&mut bank, &mut ledger, SimTime::from_millis(23));
+        mcu.finish(&mut ledger, SimTime::from_millis(23));
         let cal = Calibration::paper();
         let expected = cal.mcu_sleep * SimDuration::from_millis(20)
             + cal.mcu_active * SimDuration::from_millis(2)
