@@ -2,14 +2,16 @@
 //!
 //! §II-B allows a sensor's availability check to fail ("the MCU stops
 //! reading and throws an error message"). This sweep injects failures at
-//! increasing rates and measures both the energy overhead of the retries
-//! and whether the step counter still answers correctly — robustness the
-//! paper assumes but never tests.
+//! increasing rates through one whole-run `sensor-unavailable` fault script
+//! and measures both the energy overhead of the retries and whether the
+//! step counter still answers correctly — robustness the paper assumes but
+//! never tests.
 
 use std::fmt;
 
 use iotse_core::{AppId, AppOutput, Scenario, Scheme};
-use iotse_sensors::world::WorldConfig;
+use iotse_sim::faults::{FaultKind, FaultScript};
+use iotse_sim::time::{SimDuration, SimTime};
 
 use crate::config::ExperimentConfig;
 
@@ -45,17 +47,24 @@ pub fn run(cfg: &ExperimentConfig) -> ErrorSweep {
     let scenarios = RATES
         .iter()
         .map(|&rate| {
-            let world = WorldConfig {
-                sensor_error_rate: rate,
-                ..WorldConfig::default()
-            };
+            // Rate 0 scripts nothing: faults off means no plan at all.
+            let faults = (rate > 0.0)
+                .then(|| {
+                    FaultScript::new(
+                        FaultKind::SensorUnavailable { probability: rate },
+                        SimTime::ZERO,
+                        SimDuration::MAX,
+                    )
+                })
+                .into_iter()
+                .collect();
             Scenario::new(
                 Scheme::Batching,
                 iotse_apps::catalog::apps(&[AppId::A2], cfg.seed),
             )
             .windows(cfg.windows)
             .seed(cfg.seed)
-            .world(world)
+            .faults(faults)
         })
         .collect();
     let points = RATES

@@ -1,8 +1,9 @@
 //! The committed demo fault storm.
 //!
-//! [`demo_scripts`] fires every [`FaultKind`] at least once over a two-window
-//! run. Scenario files name it as `faults = "demo"`; `inspect --faults demo`
-//! and the bench's `robustness` section inject it directly. Grading a scheme
+//! [`demo_scripts`] fires each of the seven scripted kinds at least once
+//! over a two-window run. Scenario files name it as `faults = "demo"`;
+//! `inspect --faults demo` and the bench's `robustness` section inject it
+//! directly. Grading a scheme
 //! under the storm is the scenario language's job: a one-device spec with
 //! `faults = "demo"` and an `energy-ratio` expectation runs the clean twin
 //! and the faulted fleet and compares their energy (see
@@ -11,9 +12,9 @@
 use iotse_sim::faults::{FaultKind, FaultScript};
 use iotse_sim::time::{SimDuration, SimTime};
 
-/// The committed demo fault storm: every [`FaultKind`] fires at least once
-/// over a 2-window, 1 kHz S4 scenario (A2 + A7 in the bench suite). Times
-/// are inside `[0, 2 s)`; S4 is target slot 3.
+/// The committed demo fault storm: each of the seven scripted kinds fires
+/// at least once over a 2-window, 1 kHz S4 scenario (A2 + A7 in the bench
+/// suite). Times are inside `[0, 2 s)`; S4 is target slot 3.
 #[must_use]
 pub fn demo_scripts() -> Vec<FaultScript> {
     let s4 = iotse_sensors::spec::SensorId::S4.slot();

@@ -11,8 +11,9 @@
 //! * [`signal`] — deterministic synthetic phenomena **with ground truth**:
 //!   walking gait, ECG beats, earthquakes, spoken keywords, environmental
 //!   random walks, camera frames, fingerprints.
-//! * [`driver`] — the §II-B three-task read pipeline (availability check →
-//!   register read → formatting), with quantization and error injection.
+//! * [`driver`] — the register-read and formatting tasks of the §II-B read
+//!   pipeline, with quantization. Task I's availability errors are the
+//!   fault layer's `sensor-unavailable` kind.
 //! * [`world`] — [`PhysicalWorld`]: one shared world
 //!   per scenario, the property BEAM's sensor sharing relies on.
 //!
@@ -32,9 +33,8 @@
 //!
 //! // And the world produces its values.
 //! let mut world = PhysicalWorld::new(&SeedTree::new(7), WorldConfig::default());
-//! let sample = world.read(SensorId::S4, SimTime::from_millis(3))?;
+//! let Ok(sample) = world.read(SensorId::S4, SimTime::from_millis(3));
 //! assert!(sample.value.as_triple().is_some());
-//! # Ok::<(), iotse_sensors::driver::ReadSensorError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,13 +8,14 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::rc::Rc;
 
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::SimTime;
 
 use crate::catalog;
-use crate::driver::{ReadSensorError, SensorDriver};
+use crate::driver::SensorDriver;
 use crate::reading::{SampleValue, SensorSample, SignalSource};
 use crate::signal::audio::AudioGenerator;
 use crate::signal::ecg::{EcgGenerator, EcgProfile};
@@ -40,8 +41,6 @@ pub struct WorldConfig {
     pub utterance_count: usize,
     /// Distinct people presenting fingers to S3.
     pub enrolled_people: u32,
-    /// Probability a sensor availability check fails (Task I of §II-B).
-    pub sensor_error_rate: f64,
 }
 
 impl Default for WorldConfig {
@@ -56,7 +55,6 @@ impl Default for WorldConfig {
             quakes: Vec::new(),
             utterance_count: 24,
             enrolled_people: 4,
-            sensor_error_rate: 0.0,
         }
     }
 }
@@ -129,9 +127,7 @@ impl PhysicalWorld {
 
         let mut drivers = BTreeMap::new();
         let mut add = |id: SensorId, source: Box<dyn SignalSource>| {
-            let driver = SensorDriver::new(seeds, catalog::spec(id), source)
-                .with_error_rate(config.sensor_error_rate);
-            drivers.insert(id, driver);
+            drivers.insert(id, SensorDriver::new(catalog::spec(id), source));
         };
 
         // Environmental scalars.
@@ -229,19 +225,21 @@ impl PhysicalWorld {
 
     /// Reads sensor `id` at instant `t` through its driver.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ReadSensorError`] if the availability check fails.
+    /// The read cannot fail: Task-I availability errors are injected by the
+    /// fault layer before the world is asked. The `Result` with an
+    /// uninhabited error type keeps existing `.is_ok()`/`?` call sites
+    /// compiling; destructure it with `let Ok(sample) = …`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not one of the ten scenario sensors (the high-res
     /// image variant has no periodic driver).
-    pub fn read(&mut self, id: SensorId, t: SimTime) -> Result<SensorSample, ReadSensorError> {
-        self.drivers
+    pub fn read(&mut self, id: SensorId, t: SimTime) -> Result<SensorSample, Infallible> {
+        Ok(self
+            .drivers
             .get_mut(&id)
             .unwrap_or_else(|| panic!("no driver for {id}"))
-            .read(t)
+            .read(t))
     }
 
     /// Ground truth: steps walked in `[from, to)`.
@@ -276,15 +274,6 @@ impl PhysicalWorld {
     #[must_use]
     pub fn true_word_at(&self, t: SimTime) -> Option<usize> {
         self.audio.borrow().true_word_at(t)
-    }
-
-    /// Per-driver success/failure counts, for diagnostics.
-    #[must_use]
-    pub fn read_counts(&self) -> BTreeMap<SensorId, (u64, u64)> {
-        self.drivers
-            .iter()
-            .map(|(&id, d)| (id, (d.reads_ok(), d.reads_failed())))
-            .collect()
     }
 }
 
@@ -421,11 +410,12 @@ mod tests {
 
     #[test]
     fn read_counts_track_reads() {
+        // Each sensor's sequence number counts its own reads.
         let mut w = world();
         let _ = w.read(SensorId::S4, SimTime::ZERO);
         let _ = w.read(SensorId::S4, SimTime::from_millis(1));
-        let counts = w.read_counts();
-        assert_eq!(counts[&SensorId::S4], (2, 0));
-        assert_eq!(counts[&SensorId::S8], (0, 0));
+        let Ok(s4) = w.read(SensorId::S4, SimTime::from_millis(2));
+        let Ok(s8) = w.read(SensorId::S8, SimTime::from_millis(2));
+        assert_eq!((s4.seq, s8.seq), (2, 0));
     }
 }
