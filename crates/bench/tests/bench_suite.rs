@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use iotse_bench::report::BenchReport;
+use iotse_bench::report::{BenchReport, Counters};
 
 fn out_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -29,11 +29,11 @@ fn run_suite(tag: &str, jobs: &str) -> BenchReport {
     BenchReport::parse(&text).expect("report parses")
 }
 
-/// The four gated counter fields, keyed by case.
-fn counters(r: &BenchReport) -> Vec<(String, u64, u64, u64, u64)> {
+/// The gated counters, keyed by case.
+fn counters(r: &BenchReport) -> Vec<(String, Counters)> {
     r.entries
         .iter()
-        .map(|e| (e.case_id(), e.events, e.bus_bytes, e.allocs, e.alloc_bytes))
+        .map(|e| (e.case_id(), e.counters.clone()))
         .collect()
 }
 
@@ -65,14 +65,17 @@ fn compute_cache_section_reports_exact_hit_rates() {
     let on = report
         .entry("compute_cache/5-schemes-A4+A9/on")
         .expect("cache-on case present");
-    assert_eq!(on.cache_misses, 4, "one miss per (app, window)");
-    assert_eq!(on.cache_hits, 16, "four reuses per (app, window)");
+    let on = &on.counters;
+    assert_eq!(on.get("cache_misses"), 4, "one miss per (app, window)");
+    assert_eq!(on.get("cache_hits"), 16, "four reuses per (app, window)");
     let off = report
         .entry("compute_cache/5-schemes-A4+A9/off")
         .expect("cache-off case present");
-    assert_eq!((off.cache_hits, off.cache_misses), (0, 0));
-    assert_eq!(on.events, off.events, "caching changed simulation events");
-    assert_eq!(on.bus_bytes, off.bus_bytes, "caching changed bus traffic");
+    let off = &off.counters;
+    assert_eq!((off.get("cache_hits"), off.get("cache_misses")), (0, 0));
+    for name in ["events", "bus_bytes"] {
+        assert_eq!(on.get(name), off.get(name), "caching changed {name}");
+    }
 }
 
 #[test]
@@ -96,7 +99,7 @@ fn check_mode_accepts_own_output_and_rejects_drift() {
     // Corrupt one deterministic counter: the gate must fail.
     let text = std::fs::read_to_string(&path).expect("report written");
     let mut doctored = BenchReport::parse(&text).expect("report parses");
-    doctored.entries[0].events += 1;
+    doctored.entries[0].counters.add("events", 1);
     std::fs::write(&path, doctored.to_json()).expect("rewrite baseline");
     let status = Command::new(env!("CARGO_BIN_EXE_bench"))
         .args(["--quick", "--check"])
