@@ -356,3 +356,36 @@ fn compute_cache_on_and_off_agree_bitwise_in_faulted_runs() {
         }
     }
 }
+
+#[test]
+fn a_storm_that_outlasts_the_run_is_clipped_at_the_horizon() {
+    // The committed BEAM storm spec with the storm stretched from 400 ms to
+    // 2 000 s: the run still ends at its 5 s horizon and reports exactly
+    // what a storm declared to end there (1.6 s + 3.4 s) reports.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/clock_drift_storm.toml"
+    );
+    let text = std::fs::read_to_string(path).expect("committed storm spec");
+    let graded = |duration_ms: &str| {
+        let stretched = text.replacen(
+            "duration_ms = 400",
+            &format!("duration_ms = {duration_ms}"),
+            1,
+        );
+        assert_ne!(stretched, text, "storm window not found");
+        let spec = ScenarioSpec::parse(&stretched).expect("spec parses");
+        let r = run_spec(&spec, &catalog::app, 1);
+        let energy = r
+            .checks
+            .iter()
+            .find(|c| c.name == "energy-ratio")
+            .expect("energy-ratio graded")
+            .measured
+            .clone();
+        (format!("{:.3}", r.total_uj), energy, r.passed())
+    };
+    let expected = ("27335872.132".to_string(), "1.001876".to_string(), true);
+    assert_eq!(graded("3400"), expected);
+    assert_eq!(graded("2000000"), expected);
+}
