@@ -167,3 +167,43 @@ fn folded_nanojoules_sum_to_ledger_total() {
         );
     }
 }
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One digest per (scheme, faults, format) on A2+A7: every scheme's span
+/// structure, settle order and exporter bytes, with and without the demo
+/// fault storm. The full dumps above pin one scheme; these pin all five
+/// at one line each.
+#[test]
+fn inspect_scheme_digests_match_golden() {
+    let mut out = String::new();
+    for scheme in Scheme::ALL {
+        for (label, faults) in [
+            ("none", Vec::new()),
+            ("demo", iotse_core::robustness::demo_scripts()),
+        ] {
+            let result = iotse_bench::inspect::run(&InspectRequest {
+                scheme,
+                apps: vec![AppId::A2, AppId::A7],
+                windows: 2,
+                seed: 42,
+                jobs: 1,
+                faults,
+            });
+            for format in InspectFormat::ALL {
+                let text = iotse_bench::inspect::render(&result, format);
+                out.push_str(&format!(
+                    "{scheme} faults={label} {} {:016x}\n",
+                    format.name(),
+                    fnv1a64(text.as_bytes())
+                ));
+            }
+        }
+    }
+    check("inspect_scheme_digests.txt", &out);
+}
