@@ -6,6 +6,11 @@
 //! serialize their tasks and charge every joule to a `(device, routine)`
 //! ledger cell; the real app kernels run over the collected samples; and the
 //! whole thing folds into a [`RunResult`] — one column of one paper figure.
+//!
+//! Each of the paper's four sub-tasks is one `Exec` function with one span:
+//! `collect_sample`, `interrupt`, `transfer` and `compute`. A scheme only
+//! picks each app's [`AppFlow`] and the tick grouping.
+#![warn(clippy::too_many_lines)]
 
 use std::collections::BTreeMap;
 
@@ -17,7 +22,7 @@ use iotse_sensors::spec::SensorId;
 use iotse_sensors::world::{PhysicalWorld, WorldConfig};
 use iotse_sim::engine::Engine;
 use iotse_sim::faults::{FaultPlan, FaultScript, SensorDisposition};
-use iotse_sim::metrics::{HistogramId, MetricsRegistry};
+use iotse_sim::metrics::{HistogramId, MetricsRegistry, MetricsReport};
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};
 use iotse_sim::trace::{FieldValue, SpanId, TraceKind, TraceLog};
@@ -28,7 +33,7 @@ use crate::cpu::{CpuAccount, GapPolicy, SleepPolicy};
 use crate::mcu::McuAccount;
 use crate::result::{AppFlow, AppRunReport, RoutineDurations, RunResult, WindowOutcome};
 use crate::scheme::Scheme;
-use crate::telemetry::{TelemetryConfig, TelemetryState};
+use crate::telemetry::{Telemetry, TelemetryConfig, TelemetryState};
 use crate::workload::{AppOutput, WindowData, Workload};
 
 /// Maximum Task-I retry attempts before a sample is recorded as lost.
@@ -209,339 +214,79 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if a workload requests a sampling rate above its sensor's
-    /// Table I maximum, periodic sampling from an on-demand sensor, or an
-    /// internally inconsistent [`Calibration`].
+    /// Table I maximum, periodic sampling from an on-demand sensor, or a
+    /// sensor with no scenario driver ([`SensorId::S10Hi`], the high-res
+    /// image variant); or if the [`Calibration`] is internally
+    /// inconsistent.
     #[must_use]
     pub fn run(self) -> RunResult {
-        let Scenario {
-            apps,
-            scheme,
-            windows,
-            seed,
-            world,
-            cal,
-            record_timeline,
-            trace,
-            metrics,
-            telemetry,
-            compute_cache,
-            faults,
-        } = self;
-        // An inconsistent calibration is a scenario-construction bug, part
-        // of run()'s documented panic contract above.
-        cal.validate()
-            // iotse-lint: allow(IOTSE-E04) documented panic contract of run()
-            .expect("calibration must be internally consistent");
-
-        // Make sure signal schedules cover the run.
-        let max_window = apps
-            .iter()
-            .map(|a| a.window())
-            .max()
-            .unwrap_or(SimDuration::from_secs(1));
-        let horizon = SimTime::ZERO + max_window * u64::from(windows);
-        let mut world_cfg = world;
-        if world_cfg.horizon < horizon + SimDuration::from_secs(2) {
-            world_cfg.horizon = horizon + SimDuration::from_secs(2);
-        }
-
-        // Assign flows, then let MCU memory veto offloads (greedy, in app
-        // order; §III-B's "fits in the MCU's capabilities").
-        let mut mcu = McuAccount::new(cal.clone(), SimTime::ZERO);
-        if record_timeline {
-            mcu = mcu.with_timeline();
-        }
-        if apps.is_empty() {
-            mcu = mcu.gap_routine(Routine::Idle);
-        }
-        let mut flows: Vec<AppFlow> = apps
-            .iter()
-            .map(|a| assign_flow(scheme, a.as_ref(), &cal))
-            .collect();
-        for (i, app) in apps.iter().enumerate() {
-            if flows[i] == AppFlow::Offloaded {
-                let need = app.resources().memory_bytes();
-                if mcu.reserve_memory(need).is_err() {
-                    flows[i] = match scheme {
-                        Scheme::Bcom => AppFlow::Batched,
-                        _ => AppFlow::PerSample,
-                    };
-                }
-            }
-        }
-
-        // Sleep policy (Figure 5): any per-sample app keeps the CPU in its
-        // blocking-poll loop — "in Baseline, the CPU is in active mode all
-        // the time"; Batching lets it light-sleep between flushes; with no
-        // data path armed at all (pure COM, idle hub) it can sleep deeply.
-        let all_offloaded = !apps.is_empty() && flows.iter().all(|&f| f == AppFlow::Offloaded);
-        let any_per_sample = flows.contains(&AppFlow::PerSample);
-        let policy = GapPolicy {
-            sleep: if apps.is_empty() || all_offloaded {
-                SleepPolicy::Deep
-            } else if any_per_sample {
-                SleepPolicy::Never
-            } else {
-                SleepPolicy::Light
-            },
-            gap_routine: if apps.is_empty() {
-                Routine::Idle
-            } else if all_offloaded {
-                Routine::AppCompute
-            } else {
-                Routine::DataTransfer
-            },
-        };
-        let mut cpu = CpuAccount::new(cal.clone(), policy, SimTime::ZERO);
-        if record_timeline {
-            cpu = cpu.with_timeline();
-        }
-
-        let seeds = SeedTree::new(seed);
-        // No scripts, no plan: the faults-off path must cost nothing and
-        // change nothing (see the `faults` builder).
-        let fault_plan = (!faults.is_empty()).then(|| FaultPlan::new(&seeds, &faults));
-        let mut exec = Exec {
-            world: PhysicalWorld::new(&seeds, world_cfg),
-            cal,
-            cpu,
-            mcu,
-            ledger: EnergyLedger::new(),
-            trace: if trace {
-                TraceLog::enabled()
-            } else {
-                TraceLog::disabled()
-            },
-            metrics: metrics.then(MetricsState::new),
-            compute_cache,
-            assigned: 0.0,
-            apps: Vec::new(),
-            groups: Vec::new(),
-            flush_scratch: Vec::new(),
-            link_busy_until: SimTime::ZERO,
-            interrupts: 0,
-            sensor_reads: 0,
-            bytes_transferred: 0,
-            faults: fault_plan,
-            stuck: BTreeMap::new(),
-            telemetry: None,
-        };
-
-        for (app, flow) in apps.into_iter().zip(flows.iter().copied()) {
-            validate_rates(app.as_ref());
-            let expected: u32 = app.sensors().iter().map(|u| u.samples_per_window).sum();
-            exec.apps.push(AppRt {
-                window_len: app.window(),
-                usages: app.sensors(),
-                expected,
-                flow,
-                pending: BTreeMap::new(),
-                outcomes: Vec::new(),
-                workload: app,
-            });
-        }
-
-        // Windowed telemetry records on the `max_window` grid the run's
-        // horizon is built from. All buffers are preallocated here, so
-        // the per-window recording path never allocates (IOTSE-H13).
-        exec.telemetry = telemetry.map(|cfg| {
-            let app_meta = exec
-                .apps
-                .iter()
-                .map(|rt| (rt.workload.id(), rt.workload.name().to_string()))
-                .collect();
-            TelemetryState::new(&cfg, max_window, windows, app_meta)
-        });
-
-        // Build tick groups (BEAM merges same-rate shared sensors) and
-        // schedule every tick of every window up front. Ticks go in as
-        // plain-`fn` calls, one time-ordered batch per group, so each group
-        // is one sorted run of the queue, sized exactly from the batch and
-        // never touching the allocator per tick.
-        exec.groups = build_groups(&exec.apps, scheme);
-        if exec.trace.is_enabled() {
-            for gi in 0..exec.groups.len() {
-                let name = exec.groups[gi].sensor.to_string();
-                exec.groups[gi].sensor_label = Some(exec.trace.intern(&name));
-            }
-        }
-        let mut engine: Engine<Exec> = Engine::new();
-        for (gi, g) in exec.groups.iter().enumerate() {
-            let window_len = exec.apps[g.members[0]].window_len;
-            let spw = u64::from(g.samples_per_window);
-            let interval = window_len / spw;
-            // Same (gi, w, i) order as scheduling each tick individually, so
-            // sequence numbers — and therefore same-instant pop order — are
-            // unchanged. The flat index keeps the size hint exact.
-            engine.schedule_call_batch(
-                "tick",
-                tick_trampoline,
-                (0..u64::from(windows) * spw).map(|k| {
-                    let (w, i) = (k / spw, k % spw);
-                    let t = SimTime::ZERO + window_len * w + interval * i;
-                    (t, gi as u64, w)
-                }),
-            );
-        }
-
-        // Interrupt-storm scripts add their spurious wakeups as first-class
-        // engine events. Faults-off runs take the `None` arm and the event
-        // count — gated exactly by the bench suite — is untouched. Storm
-        // instants past the horizon are dropped: a fault never lengthens
-        // the run.
-        if let Some(plan) = &exec.faults {
-            let schedule = plan.storm_schedule(horizon);
-            if !schedule.is_empty() {
-                engine.schedule_call_batch(
-                    "fault_storm",
-                    storm_trampoline,
-                    schedule.into_iter().map(|t| (t, 0, 0)),
-                );
-            }
-        }
-
+        let (scheme, seed, windows) = (self.scheme, self.seed, self.windows);
+        let mut exec = Exec::new(self);
+        let mut engine = exec.schedule(windows);
         // The root span covers the whole run; every tick nests under it.
         let root = exec
             .trace
             .enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_core_run");
         engine.run(&mut exec);
-
-        // Close out the books at the horizon (or later, if the last task
-        // overran it).
-        let end = horizon
-            .max(exec.cpu.busy_until())
-            .max(exec.mcu.busy_until());
-        exec.cpu.finish(&mut exec.ledger, end);
-        exec.mcu.finish(&mut exec.ledger, end);
-
-        // The close span absorbs everything charged at book-closing (tail
-        // gap/idle energy) plus any floating-point residue, so the folded
-        // span weights reproduce `ledger.total()` bitwise (see `settle`).
-        let close = exec
-            .trace
-            .enter_span(end, TraceKind::PowerState, "iotse_core_close");
-        if exec.trace.is_enabled() {
-            let total = exec.ledger.total().as_microjoules();
-            let weight = exact_residual(exec.assigned, total);
-            exec.trace.charge_span(close, weight);
-            exec.assigned += weight;
-        }
-        exec.trace.exit_span(close, end);
-        exec.trace.exit_span(root, end);
-
-        // Seal the telemetry payload: force-close any window the tick
-        // stream never reached (the final one always, plus every window
-        // of an idle run), with the last window ulp-nudged so each
-        // routine's series folds back to its ledger total bitwise.
-        let telemetry = exec.telemetry.take().map(|t| t.close(&exec.ledger));
-
-        let apps: Vec<AppRunReport> = exec
-            .apps
-            .into_iter()
-            .map(|rt| AppRunReport {
-                id: rt.workload.id(),
-                name: rt.workload.name().to_string(),
-                flow: rt.flow,
-                windows: rt.outcomes,
-            })
-            .collect();
-
-        // End-of-run counters come straight from the totals the executor
-        // already tracks; only per-event histograms observe on the hot path.
-        let mcu_stats = exec.mcu.stats();
-        let fault_stats = exec
-            .faults
-            .as_ref()
-            .map(FaultPlan::stats)
-            .unwrap_or_default();
-        let faults_on = exec.faults.is_some();
-        let metrics = exec.metrics.map(|mut m| {
-            let c = m.reg.counter("iotse_core_interrupts_total");
-            m.reg.add(c, exec.interrupts);
-            let c = m.reg.counter("iotse_core_sensor_reads_total");
-            m.reg.add(c, exec.sensor_reads);
-            let c = m.reg.counter("iotse_core_transfer_bytes_total");
-            m.reg.add(c, exec.bytes_transferred);
-            let c = m.reg.counter("iotse_core_forced_flushes_total");
-            m.reg.add(c, mcu_stats.forced_flushes);
-            let c = m.reg.counter("iotse_core_windows_completed_total");
-            m.reg
-                .add(c, apps.iter().map(|a| a.windows.len() as u64).sum());
-            let c = m.reg.counter("iotse_core_qos_misses_total");
-            m.reg
-                .add(c, apps.iter().map(|a| a.qos_violations() as u64).sum());
-            // Fault counters register only when a plan ran, so faults-off
-            // metric snapshots stay byte-identical to the pre-fault layer.
-            if faults_on {
-                let c = m.reg.counter("iotse_core_faults_injected_total");
-                m.reg.add(c, fault_stats.faults_injected);
-                let c = m.reg.counter("iotse_core_samples_dropped_total");
-                m.reg.add(c, fault_stats.samples_dropped);
-                let c = m.reg.counter("iotse_core_bytes_corrupted_total");
-                m.reg.add(c, fault_stats.bytes_corrupted);
-            }
-            // Telemetry counters register only when telemetry ran, so
-            // telemetry-off metric snapshots stay byte-identical.
-            if let Some(t) = &telemetry {
-                let c = m.reg.counter("iotse_core_telemetry_points_total");
-                m.reg.add(c, t.points_recorded());
-                let c = m.reg.counter("iotse_core_telemetry_alerts_total");
-                m.reg.add(c, t.alerts.len() as u64);
-                let c = m.reg.counter("iotse_core_telemetry_detector_evals_total");
-                m.reg.add(c, t.detector_evals);
-            }
-            exec.ledger.export_metrics(&mut m.reg);
-            m.reg.snapshot()
-        });
-
-        RunResult {
-            scheme,
-            seed,
-            duration: end - SimTime::ZERO,
-            ledger: exec.ledger,
-            cpu: exec.cpu.stats(),
-            mcu: mcu_stats,
-            events_executed: engine.events_executed(),
-            interrupts: exec.interrupts,
-            sensor_reads: exec.sensor_reads,
-            bytes_transferred: exec.bytes_transferred,
-            faults: fault_stats,
-            apps,
-            cpu_timeline: exec.cpu.timeline().map(<[_]>::to_vec),
-            mcu_timeline: exec.mcu.timeline().map(<[_]>::to_vec),
-            spans: exec.trace.summary(),
-            metrics,
-            telemetry,
-            trace: exec.trace,
-        }
+        let end = exec.close_books(root);
+        exec.into_result(scheme, seed, end, engine.events_executed())
     }
 }
 
-/// The flow a scheme assigns to one app (before memory reservation).
-fn assign_flow(scheme: Scheme, app: &dyn Workload, cal: &Calibration) -> AppFlow {
+/// The flow a scheme gives one app. COM and BCOM offload a light app if
+/// its heap and stack fit the MCU memory still free (reserved greedily,
+/// in app order: §III-B's "fits in the MCU's capabilities"); every other
+/// app runs per-sample (Baseline, BEAM, COM) or batched (Batching, BCOM).
+fn assign_flow(
+    scheme: Scheme,
+    app: &dyn Workload,
+    cal: &Calibration,
+    mcu: &mut McuAccount,
+) -> AppFlow {
     let light = classify(app, cal).is_light();
+    let offloads = matches!(scheme, Scheme::Com | Scheme::Bcom);
+    if offloads && light && mcu.reserve_memory(app.resources().memory_bytes()).is_ok() {
+        return AppFlow::Offloaded;
+    }
     match scheme {
-        Scheme::Baseline | Scheme::Beam => AppFlow::PerSample,
-        Scheme::Batching => AppFlow::Batched,
-        Scheme::Com => {
-            if light {
-                AppFlow::Offloaded
-            } else {
-                AppFlow::PerSample
-            }
-        }
-        Scheme::Bcom => {
-            if light {
-                AppFlow::Offloaded
-            } else {
-                AppFlow::Batched
-            }
-        }
+        Scheme::Baseline | Scheme::Beam | Scheme::Com => AppFlow::PerSample,
+        Scheme::Batching | Scheme::Bcom => AppFlow::Batched,
+    }
+}
+
+/// The CPU's sleep policy (Figure 5): any per-sample app keeps the CPU in
+/// its blocking-poll loop — "in Baseline, the CPU is in active mode all
+/// the time"; Batching lets it light-sleep between flushes; with no data
+/// path armed at all (pure COM, idle hub) it can sleep deeply.
+fn gap_policy(flows: &[AppFlow]) -> GapPolicy {
+    let idle = flows.is_empty();
+    let all_offloaded = !idle && flows.iter().all(|&f| f == AppFlow::Offloaded);
+    GapPolicy {
+        sleep: if idle || all_offloaded {
+            SleepPolicy::Deep
+        } else if flows.contains(&AppFlow::PerSample) {
+            SleepPolicy::Never
+        } else {
+            SleepPolicy::Light
+        },
+        gap_routine: if idle {
+            Routine::Idle
+        } else if all_offloaded {
+            Routine::AppCompute
+        } else {
+            Routine::DataTransfer
+        },
     }
 }
 
 fn validate_rates(app: &dyn Workload) {
     for u in app.sensors() {
+        assert!(
+            SensorId::ALL.contains(&u.sensor),
+            "{} samples {}, which has no scenario driver",
+            app.name(),
+            u.sensor
+        );
         let spec = iotse_sensors::catalog::spec(u.sensor);
         let rate = f64::from(u.samples_per_window) / app.window().as_secs_f64();
         match spec.max_rate_hz {
@@ -636,6 +381,25 @@ struct AppRt {
     outcomes: Vec<WindowOutcome>,
 }
 
+impl AppRt {
+    fn new(workload: Box<dyn Workload>, flow: AppFlow) -> AppRt {
+        let expected = workload
+            .sensors()
+            .iter()
+            .map(|u| u.samples_per_window)
+            .sum();
+        AppRt {
+            window_len: workload.window(),
+            usages: workload.sensors(),
+            expected,
+            flow,
+            pending: BTreeMap::new(),
+            outcomes: Vec::new(),
+            workload,
+        }
+    }
+}
+
 struct PendingWindow {
     data: WindowData,
     received: u32,
@@ -667,6 +431,51 @@ impl MetricsState {
             window_slack_ms,
         }
     }
+
+    /// Fills the end-of-run counters straight from the totals the executor
+    /// already tracks, then snapshots the registry.
+    fn into_report(
+        mut self,
+        exec: &Exec,
+        apps: &[AppRunReport],
+        telemetry: Option<&Telemetry>,
+    ) -> MetricsReport {
+        let reg = &mut self.reg;
+        let c = reg.counter("iotse_core_interrupts_total");
+        reg.add(c, exec.interrupts);
+        let c = reg.counter("iotse_core_sensor_reads_total");
+        reg.add(c, exec.sensor_reads);
+        let c = reg.counter("iotse_core_transfer_bytes_total");
+        reg.add(c, exec.bytes_transferred);
+        let c = reg.counter("iotse_core_forced_flushes_total");
+        reg.add(c, exec.mcu.stats().forced_flushes);
+        let c = reg.counter("iotse_core_windows_completed_total");
+        reg.add(c, apps.iter().map(|a| a.windows.len() as u64).sum());
+        let c = reg.counter("iotse_core_qos_misses_total");
+        reg.add(c, apps.iter().map(|a| a.qos_violations() as u64).sum());
+        // Fault counters register only when a plan ran, so faults-off
+        // metric snapshots stay byte-identical to the pre-fault layer.
+        if let Some(stats) = exec.faults.as_ref().map(FaultPlan::stats) {
+            let c = reg.counter("iotse_core_faults_injected_total");
+            reg.add(c, stats.faults_injected);
+            let c = reg.counter("iotse_core_samples_dropped_total");
+            reg.add(c, stats.samples_dropped);
+            let c = reg.counter("iotse_core_bytes_corrupted_total");
+            reg.add(c, stats.bytes_corrupted);
+        }
+        // Telemetry counters register only when telemetry ran, so
+        // telemetry-off metric snapshots stay byte-identical.
+        if let Some(t) = telemetry {
+            let c = reg.counter("iotse_core_telemetry_points_total");
+            reg.add(c, t.points_recorded());
+            let c = reg.counter("iotse_core_telemetry_alerts_total");
+            reg.add(c, t.alerts.len() as u64);
+            let c = reg.counter("iotse_core_telemetry_detector_evals_total");
+            reg.add(c, t.detector_evals);
+        }
+        exec.ledger.export_metrics(reg);
+        reg.snapshot()
+    }
 }
 
 /// The executor state driven by the engine.
@@ -686,6 +495,9 @@ struct Exec {
     groups: Vec<Group>,
     /// Reusable window-id buffer for [`Exec::flush_all_batches`].
     flush_scratch: Vec<u32>,
+    /// The last window's end on the longest window grid; the books close
+    /// here unless a task overran it.
+    horizon: SimTime,
     link_busy_until: SimTime,
     interrupts: u64,
     sensor_reads: u64,
@@ -700,6 +512,224 @@ struct Exec {
 }
 
 impl Exec {
+    /// Validates `s` and builds its executor: flows, CPU and MCU accounts,
+    /// per-app state, telemetry buffers and tick groups.
+    fn new(s: Scenario) -> Exec {
+        // An inconsistent calibration is a scenario-construction bug, part
+        // of run()'s documented panic contract.
+        s.cal
+            .validate()
+            // iotse-lint: allow(IOTSE-E04) documented panic contract of run()
+            .expect("calibration must be internally consistent");
+        for app in &s.apps {
+            validate_rates(app.as_ref());
+        }
+        // Make sure signal schedules cover the run.
+        let max_window = s
+            .apps
+            .iter()
+            .map(|a| a.window())
+            .max()
+            .unwrap_or(SimDuration::from_secs(1));
+        let horizon = SimTime::ZERO + max_window * u64::from(s.windows);
+        let mut world = s.world;
+        world.horizon = world.horizon.max(horizon + SimDuration::from_secs(2));
+
+        let mut mcu = McuAccount::new(s.cal.clone(), SimTime::ZERO);
+        if s.record_timeline {
+            mcu = mcu.with_timeline();
+        }
+        if s.apps.is_empty() {
+            mcu = mcu.gap_routine(Routine::Idle);
+        }
+        let flows: Vec<AppFlow> = s
+            .apps
+            .iter()
+            .map(|a| assign_flow(s.scheme, a.as_ref(), &s.cal, &mut mcu))
+            .collect();
+        let mut cpu = CpuAccount::new(s.cal.clone(), gap_policy(&flows), SimTime::ZERO);
+        if s.record_timeline {
+            cpu = cpu.with_timeline();
+        }
+
+        let seeds = SeedTree::new(s.seed);
+        let mut exec = Exec {
+            // No scripts, no plan: the faults-off path must cost nothing
+            // and change nothing (see the `faults` builder).
+            faults: (!s.faults.is_empty()).then(|| FaultPlan::new(&seeds, &s.faults)),
+            world: PhysicalWorld::new(&seeds, world),
+            cal: s.cal,
+            cpu,
+            mcu,
+            ledger: EnergyLedger::new(),
+            trace: if s.trace {
+                TraceLog::enabled()
+            } else {
+                TraceLog::disabled()
+            },
+            metrics: s.metrics.then(MetricsState::new),
+            compute_cache: s.compute_cache,
+            assigned: 0.0,
+            apps: Vec::new(),
+            groups: Vec::new(),
+            flush_scratch: Vec::new(),
+            horizon,
+            link_busy_until: SimTime::ZERO,
+            interrupts: 0,
+            sensor_reads: 0,
+            bytes_transferred: 0,
+            stuck: BTreeMap::new(),
+            telemetry: None,
+        };
+        for (app, flow) in s.apps.into_iter().zip(flows) {
+            exec.apps.push(AppRt::new(app, flow));
+        }
+
+        // Windowed telemetry records on the `max_window` grid the run's
+        // horizon is built from. All buffers are preallocated here, so
+        // the per-window recording path never allocates (IOTSE-H13).
+        exec.telemetry = s.telemetry.map(|cfg| {
+            let app_meta = exec
+                .apps
+                .iter()
+                .map(|rt| (rt.workload.id(), rt.workload.name().to_string()))
+                .collect();
+            TelemetryState::new(&cfg, max_window, s.windows, app_meta)
+        });
+
+        // Tick groups: BEAM merges same-rate shared sensors.
+        exec.groups = build_groups(&exec.apps, s.scheme);
+        if exec.trace.is_enabled() {
+            for gi in 0..exec.groups.len() {
+                let name = exec.groups[gi].sensor.to_string();
+                exec.groups[gi].sensor_label = Some(exec.trace.intern(&name));
+            }
+        }
+        exec
+    }
+
+    /// Schedules every tick of every window up front, plus any
+    /// interrupt-storm wakeups. Ticks go in as plain-`fn` calls, one
+    /// time-ordered batch per group, so each group is one sorted run of
+    /// the queue, sized exactly from the batch and never touching the
+    /// allocator per tick.
+    fn schedule(&self, windows: u32) -> Engine<Exec> {
+        let mut engine: Engine<Exec> = Engine::new();
+        for (gi, g) in self.groups.iter().enumerate() {
+            let window_len = self.apps[g.members[0]].window_len;
+            let spw = u64::from(g.samples_per_window);
+            let interval = window_len / spw;
+            // Same (gi, w, i) order as scheduling each tick individually, so
+            // sequence numbers — and therefore same-instant pop order — are
+            // unchanged. The flat index keeps the size hint exact.
+            engine.schedule_call_batch(
+                "tick",
+                tick_trampoline,
+                (0..u64::from(windows) * spw).map(|k| {
+                    let (w, i) = (k / spw, k % spw);
+                    let t = SimTime::ZERO + window_len * w + interval * i;
+                    (t, gi as u64, w)
+                }),
+            );
+        }
+
+        // Interrupt-storm scripts add their spurious wakeups as first-class
+        // engine events. Faults-off runs take the `None` arm and the event
+        // count — gated exactly by the bench suite — is untouched. Storm
+        // instants past the horizon are dropped: a fault never lengthens
+        // the run.
+        if let Some(plan) = &self.faults {
+            let schedule = plan.storm_schedule(self.horizon);
+            if !schedule.is_empty() {
+                engine.schedule_call_batch(
+                    "fault_storm",
+                    storm_trampoline,
+                    schedule.into_iter().map(|t| (t, 0, 0)),
+                );
+            }
+        }
+        engine
+    }
+
+    /// Closes the books at the horizon (or later, if the last task overran
+    /// it), then the `root` span. Returns the run's end.
+    fn close_books(&mut self, root: SpanId) -> SimTime {
+        let end = self
+            .horizon
+            .max(self.cpu.busy_until())
+            .max(self.mcu.busy_until());
+        self.cpu.finish(&mut self.ledger, end);
+        self.mcu.finish(&mut self.ledger, end);
+
+        // The close span absorbs everything charged at book-closing (tail
+        // gap/idle energy) plus any floating-point residue, so the folded
+        // span weights reproduce `ledger.total()` bitwise (see `settle`).
+        let close = self
+            .trace
+            .enter_span(end, TraceKind::PowerState, "iotse_core_close");
+        if self.trace.is_enabled() {
+            let total = self.ledger.total().as_microjoules();
+            let weight = exact_residual(self.assigned, total);
+            self.trace.charge_span(close, weight);
+            self.assigned += weight;
+        }
+        self.trace.exit_span(close, end);
+        self.trace.exit_span(root, end);
+        end
+    }
+
+    /// Folds the closed books into the run's [`RunResult`].
+    fn into_result(
+        mut self,
+        scheme: Scheme,
+        seed: u64,
+        end: SimTime,
+        events_executed: u64,
+    ) -> RunResult {
+        // Seal the telemetry payload: force-close any window the tick
+        // stream never reached (the final one always, plus every window
+        // of an idle run), with the last window ulp-nudged so each
+        // routine's series folds back to its ledger total bitwise.
+        let telemetry = self.telemetry.take().map(|t| t.close(&self.ledger));
+        let apps: Vec<AppRunReport> = std::mem::take(&mut self.apps)
+            .into_iter()
+            .map(|rt| AppRunReport {
+                id: rt.workload.id(),
+                name: rt.workload.name().to_string(),
+                flow: rt.flow,
+                windows: rt.outcomes,
+            })
+            .collect();
+        let metrics = self
+            .metrics
+            .take()
+            .map(|m| m.into_report(&self, &apps, telemetry.as_ref()));
+        RunResult {
+            scheme,
+            seed,
+            duration: end - SimTime::ZERO,
+            cpu: self.cpu.stats(),
+            mcu: self.mcu.stats(),
+            events_executed,
+            interrupts: self.interrupts,
+            sensor_reads: self.sensor_reads,
+            bytes_transferred: self.bytes_transferred,
+            faults: self
+                .faults
+                .as_ref()
+                .map(FaultPlan::stats)
+                .unwrap_or_default(),
+            apps,
+            cpu_timeline: self.cpu.timeline().map(<[_]>::to_vec),
+            mcu_timeline: self.mcu.timeline().map(<[_]>::to_vec),
+            spans: self.trace.summary(),
+            metrics,
+            telemetry,
+            ledger: self.ledger,
+            trace: self.trace,
+        }
+    }
+
     /// Attributes every microjoule charged to the ledger since the last
     /// settle point to `span`. Settles run at the end of each leaf span, so
     /// the deltas telescope: summed left-to-right in span order they track
@@ -717,6 +747,8 @@ impl Exec {
         }
     }
 
+    /// One sampling tick of one group: collect the sample, then route it
+    /// by the group's flow.
     // iotse-lint: hot-path
     fn on_tick(&mut self, now: SimTime, group_idx: usize, window: u32) {
         // Window-boundary telemetry rolls first, so everything charged by
@@ -729,10 +761,7 @@ impl Exec {
         // and copy the scalar fields — a tick never clones its group.
         let members = std::mem::take(&mut self.groups[group_idx].members);
         let g = &self.groups[group_idx];
-        let sensor = g.sensor;
-        let bytes_per_sample = g.bytes_per_sample;
-        let sensor_label = g.sensor_label;
-        let spec = iotse_sensors::catalog::spec(sensor);
+        let (sensor, bytes, sensor_label) = (g.sensor, g.bytes_per_sample, g.sensor_label);
 
         let tick = self
             .trace
@@ -742,29 +771,67 @@ impl Exec {
             self.trace
                 .span_field(tick, "window", FieldValue::U64(u64::from(window)));
         }
+        let (sample, read_end, read_cost) = self.collect_sample(now, sensor, bytes, sensor_label);
+        // Collection busy time, split across sharers under BEAM.
+        let share = read_cost / members.len() as u64;
+        for &m in &members {
+            self.pending(m, window).processing.data_collection += share;
+        }
 
-        // --- Tasks I–III at the MCU: read, with Task-I retries. The value
-        // is latched at the tick's *nominal* instant (`now`): the ADC
-        // samples on its QoS clock even when the MCU is backlogged moving
-        // a batch, so a transfer backlog delays availability, not
-        // acquisition.
-        let collect = self
+        // Route per flow. Multi-member groups only exist under BEAM, where
+        // every app is per-sample.
+        let m = members[0];
+        let flow = self.apps[m].flow;
+        match flow {
+            AppFlow::Offloaded => self.deliver(m, window, sample, read_end),
+            AppFlow::Batched if self.buffer_sample(read_end, bytes) => {
+                self.pending(m, window).batch_bytes += bytes;
+                self.deliver(m, window, sample, read_end);
+            }
+            // Per-sample; or a batched sample that cannot fit the MCU's
+            // remaining RAM even with an empty batch buffer (offload
+            // reservations ate it), which degrades to a per-sample trip.
+            _ => self.send_now(&members, window, sample, read_end, bytes),
+        }
+
+        let tick_end = now
+            .max(self.cpu.busy_until())
+            .max(self.mcu.busy_until())
+            .max(self.link_busy_until);
+        self.trace.exit_span(tick, tick_end);
+        self.groups[group_idx].members = members;
+    }
+
+    /// Data collection, Tasks I–III at the MCU: reads `sensor` with Task-I
+    /// retries under the sensor fault hooks. The value is latched at the
+    /// tick's *nominal* instant (`now`): the ADC samples on its QoS clock
+    /// even when the MCU is backlogged moving a batch, so a transfer
+    /// backlog delays availability, not acquisition. Returns the sample
+    /// (`None` if every attempt failed), when the last attempt ends, and
+    /// the MCU time one attempt costs.
+    fn collect_sample(
+        &mut self,
+        now: SimTime,
+        sensor: SensorId,
+        bytes: usize,
+        sensor_label: Option<iotse_sim::trace::Label>,
+    ) -> (Option<SensorSample>, SimTime, SimDuration) {
+        let span = self
             .trace
             .enter_span(now, TraceKind::SensorRead, "iotse_core_collect");
         // Fault hooks: a compiled plan decides this sampling event's fate
         // and any clock-drift stretch of the read overhead. Both branches
         // collapse to `None`/`ZERO` without a plan — the fault-free path
         // makes no extra draws and charges the exact seed costs.
-        let disposition = match &mut self.faults {
-            Some(plan) => plan.sensor_disposition(sensor.slot(), now),
-            None => None,
+        let overhead = self.cal.mcu_read_overhead;
+        let (disposition, read_cost) = match &mut self.faults {
+            Some(plan) => (
+                plan.sensor_disposition(sensor.slot(), now),
+                overhead + plan.drift_extra(overhead, now),
+            ),
+            None => (None, overhead),
         };
-        let read_cost = match &mut self.faults {
-            Some(plan) => {
-                self.cal.mcu_read_overhead + plan.drift_extra(self.cal.mcu_read_overhead, now)
-            }
-            None => self.cal.mcu_read_overhead,
-        };
+        let spec = iotse_sensors::catalog::spec(sensor);
         let mut sample: Option<SensorSample> = None;
         let mut read_end = now;
         for _attempt in 0..MAX_READ_RETRIES {
@@ -809,34 +876,10 @@ impl Exec {
                     });
                 continue;
             }
-            let Ok(s) = self.world.read(sensor, now);
+            let Ok(mut s) = self.world.read(sensor, now);
+            self.perturb(sensor, &mut s, disposition);
             sample = Some(s);
             break;
-        }
-        // Stuck-at and noise-burst perturb the sample after acquisition,
-        // on the sensors-crate injection surface.
-        if let Some(s) = &mut sample {
-            match disposition {
-                Some(SensorDisposition::Stick) => {
-                    if let Some(latched) = self.stuck.get(&sensor) {
-                        apply_sample_fault(s, &SampleFault::StuckAt(latched));
-                    } else {
-                        // First read under the fault latches; later reads
-                        // in the window replay it.
-                        self.stuck.insert(sensor, s.value.clone());
-                    }
-                }
-                Some(SensorDisposition::Noise(offset)) => {
-                    apply_sample_fault(s, &SampleFault::Noise(offset));
-                }
-                _ => {
-                    // A genuine read releases any latch, so a later
-                    // stuck-at window latches afresh.
-                    if self.faults.is_some() {
-                        self.stuck.remove(&sensor);
-                    }
-                }
-            }
         }
         if let Some(lbl) = sensor_label.filter(|_| sample.is_some()) {
             self.trace.event(
@@ -845,86 +888,44 @@ impl Exec {
                 "mcu",
                 &[
                     ("sensor", FieldValue::Str(lbl)),
-                    ("bytes", FieldValue::U64(bytes_per_sample as u64)),
+                    ("bytes", FieldValue::U64(bytes as u64)),
                 ],
             );
         }
-        self.settle(collect);
-        self.trace.exit_span(collect, read_end);
+        self.settle(span);
+        self.trace.exit_span(span, read_end);
+        (sample, read_end, read_cost)
+    }
 
-        // Collection busy time, split across sharers under BEAM.
-        let share = read_cost / members.len() as u64;
-        for &m in &members {
-            self.pending(m, window).processing.data_collection += share;
-        }
-
-        // --- Route per flow. Multi-member groups only exist under BEAM,
-        // where every app is per-sample.
-        let flow = self.apps[members[0]].flow;
-        match flow {
-            AppFlow::PerSample => {
-                // One interrupt + one transfer for the whole group — this
-                // *is* BEAM's saving when the group is shared.
-                let int_end = self.interrupt(read_end);
-                let tx_end = self.transfer(int_end, bytes_per_sample);
-                let n = members.len() as u64;
-                let dur = self.cal.transfer_time(bytes_per_sample);
-                let last = members.len() - 1;
-                for (i, &m) in members.iter().enumerate() {
-                    let handling = self.cal.cpu_interrupt_handling;
-                    let pw = self.pending(m, window);
-                    pw.processing.interrupt += handling / n;
-                    pw.processing.data_transfer += dur / n;
-                    // The last sharer takes the sample by move; only the
-                    // ones before it pay for a clone.
-                    let s = if i == last {
-                        sample.take()
-                    } else {
-                        sample.clone()
-                    };
-                    self.deliver(m, window, s, tx_end);
-                    self.try_complete_per_sample(m, window);
-                }
-            }
-            AppFlow::Batched => {
-                let m = members[0];
-                let mut buffered = self.mcu.buffer_push(bytes_per_sample);
-                if !buffered {
-                    self.flush_all_batches(read_end);
-                    buffered = self.mcu.buffer_push(bytes_per_sample);
-                }
-                if buffered {
-                    self.pending(m, window).batch_bytes += bytes_per_sample;
-                    self.deliver(m, window, sample, read_end);
+    /// Stuck-at and noise-burst perturb a sample after acquisition, on the
+    /// sensors-crate injection surface.
+    fn perturb(
+        &mut self,
+        sensor: SensorId,
+        s: &mut SensorSample,
+        disposition: Option<SensorDisposition>,
+    ) {
+        match disposition {
+            Some(SensorDisposition::Stick) => {
+                if let Some(latched) = self.stuck.get(&sensor) {
+                    apply_sample_fault(s, &SampleFault::StuckAt(latched));
                 } else {
-                    // The sample cannot fit the MCU's remaining RAM even
-                    // with an empty batch buffer (offload reservations ate
-                    // it) — it degrades to an immediate per-sample
-                    // transfer.
-                    let int_end = self.interrupt(read_end);
-                    let tx_end = self.transfer(int_end, bytes_per_sample);
-                    let dur = self.cal.transfer_time(bytes_per_sample);
-                    let handling = self.cal.cpu_interrupt_handling;
-                    let pw = self.pending(m, window);
-                    pw.processing.interrupt += handling;
-                    pw.processing.data_transfer += dur;
-                    self.deliver(m, window, sample, tx_end);
+                    // First read under the fault latches; later reads
+                    // in the window replay it.
+                    self.stuck.insert(sensor, s.value.clone());
                 }
-                self.try_complete_batched(m, window);
             }
-            AppFlow::Offloaded => {
-                let m = members[0];
-                self.deliver(m, window, sample, read_end);
-                self.try_complete_offloaded(m, window);
+            Some(SensorDisposition::Noise(offset)) => {
+                apply_sample_fault(s, &SampleFault::Noise(offset));
+            }
+            _ => {
+                // A genuine read releases any latch, so a later
+                // stuck-at window latches afresh.
+                if self.faults.is_some() {
+                    self.stuck.remove(&sensor);
+                }
             }
         }
-
-        let tick_end = now
-            .max(self.cpu.busy_until())
-            .max(self.mcu.busy_until())
-            .max(self.link_busy_until);
-        self.trace.exit_span(tick, tick_end);
-        self.groups[group_idx].members = members;
     }
 
     fn pending(&mut self, app: usize, window: u32) -> &mut PendingWindow {
@@ -947,13 +948,61 @@ impl Exec {
         })
     }
 
+    /// Files one sample (`None` if it was lost) into `app`'s `window`,
+    /// available from `at`, and completes the window once it is full.
     fn deliver(&mut self, app: usize, window: u32, sample: Option<SensorSample>, at: SimTime) {
+        let expected = self.apps[app].expected;
         let pw = self.pending(app, window);
         pw.received += 1;
         pw.ready = pw.ready.max(at);
         if let Some(s) = sample {
             pw.data.samples.entry(s.sensor).or_default().push(s);
         }
+        if pw.received >= expected {
+            self.complete(app, window);
+        }
+    }
+
+    /// Interrupts, then transfers one sample right away, for every app in
+    /// `members`. One trip serves the whole group — this *is* BEAM's
+    /// saving when the group is shared — and each member books its share.
+    fn send_now(
+        &mut self,
+        members: &[usize],
+        window: u32,
+        mut sample: Option<SensorSample>,
+        ready: SimTime,
+        bytes: usize,
+    ) {
+        let int_end = self.interrupt(ready);
+        let tx_end = self.transfer(int_end, bytes);
+        let n = members.len() as u64;
+        let handling = self.cal.cpu_interrupt_handling / n;
+        let dur = self.cal.transfer_time(bytes) / n;
+        let last = members.len() - 1;
+        for (i, &m) in members.iter().enumerate() {
+            let pw = self.pending(m, window);
+            pw.processing.interrupt += handling;
+            pw.processing.data_transfer += dur;
+            // The last sharer takes the sample by move; only the ones
+            // before it pay for a clone.
+            let s = if i == last {
+                sample.take()
+            } else {
+                sample.clone()
+            };
+            self.deliver(m, window, s, tx_end);
+        }
+    }
+
+    /// Buffers one `bytes` sample in MCU RAM, early-flushing every batch
+    /// if the buffer is full. `false` if it cannot fit even then.
+    fn buffer_sample(&mut self, ready: SimTime, bytes: usize) -> bool {
+        if self.mcu.buffer_push(bytes) {
+            return true;
+        }
+        self.flush_all_batches(ready);
+        self.mcu.buffer_push(bytes)
     }
 
     /// MCU raises the line, CPU services it. Returns when handling ends.
@@ -1013,47 +1062,31 @@ impl Exec {
         if let Some(m) = &mut self.metrics {
             m.reg.observe(m.transfer_bytes, bytes as f64);
         }
-        let end = if self.cal.dma_enabled {
-            let start = ready.max(self.cpu.busy_until()).max(self.mcu.busy_until());
-            let (_, cpu_end) = self.cpu.task(
-                &mut self.ledger,
-                start,
-                self.cal.dma_setup,
-                Routine::DataTransfer,
-            );
-            self.mcu.task(
-                &mut self.ledger,
-                start,
-                self.cal.dma_setup,
-                Routine::DataTransfer,
-            );
-            let wire_start = cpu_end.max(self.link_busy_until);
-            let wire_end = wire_start + dur;
-            self.link_busy_until = wire_end;
-            self.ledger.charge(
-                Device::Link,
-                Routine::DataTransfer,
-                self.cal.link_active * dur,
-            );
-            wire_end
+        // Without DMA both boards drive the bus for the whole transfer, so
+        // it also waits for the wire; with DMA each pays only the setup.
+        let dma = self.cal.dma_enabled;
+        let (busy, wait) = if dma {
+            (self.cal.dma_setup, ready)
         } else {
-            let start = ready
-                .max(self.cpu.busy_until())
-                .max(self.mcu.busy_until())
-                .max(self.link_busy_until);
-            let (_, cpu_end) = self
-                .cpu
-                .task(&mut self.ledger, start, dur, Routine::DataTransfer);
-            self.mcu
-                .task(&mut self.ledger, start, dur, Routine::DataTransfer);
-            self.link_busy_until = cpu_end;
-            self.ledger.charge(
-                Device::Link,
-                Routine::DataTransfer,
-                self.cal.link_active * dur,
-            );
+            (dur, ready.max(self.link_busy_until))
+        };
+        let start = wait.max(self.cpu.busy_until()).max(self.mcu.busy_until());
+        let (_, cpu_end) = self
+            .cpu
+            .task(&mut self.ledger, start, busy, Routine::DataTransfer);
+        self.mcu
+            .task(&mut self.ledger, start, busy, Routine::DataTransfer);
+        let end = if dma {
+            cpu_end.max(self.link_busy_until) + dur
+        } else {
             cpu_end
         };
+        self.link_busy_until = end;
+        self.ledger.charge(
+            Device::Link,
+            Routine::DataTransfer,
+            self.cal.link_active * dur,
+        );
         self.trace.event(
             end,
             TraceKind::DataTransfer,
@@ -1065,91 +1098,67 @@ impl Exec {
         end
     }
 
-    fn try_complete_per_sample(&mut self, app: usize, window: u32) {
-        let Some(pw) = self.take_if_complete(app, window) else {
-            return;
-        };
-        let compute = self.apps[app].workload.resources().cpu_compute;
+    /// App compute: `app`'s kernel time, on the MCU for an offloaded app
+    /// and on the CPU otherwise, from `ready`. Returns the busy time and
+    /// when it ends.
+    fn compute(&mut self, app: usize, ready: SimTime) -> (SimDuration, SimTime) {
+        let res = self.apps[app].workload.resources();
         let span = self
             .trace
-            .enter_span(pw.ready, TraceKind::Compute, "iotse_core_compute");
-        let (_, end) = self
-            .cpu
-            .task(&mut self.ledger, pw.ready, compute, Routine::AppCompute);
+            .enter_span(ready, TraceKind::Compute, "iotse_core_compute");
+        let offloaded = self.apps[app].flow == AppFlow::Offloaded;
+        let busy = if offloaded {
+            res.mcu_compute
+        } else {
+            res.cpu_compute
+        };
+        let (_, end) = if offloaded {
+            self.mcu
+                .task(&mut self.ledger, ready, busy, Routine::AppCompute)
+        } else {
+            self.cpu
+                .task(&mut self.ledger, ready, busy, Routine::AppCompute)
+        };
         self.settle(span);
         self.trace.exit_span(span, end);
-        self.finish_window(app, pw, compute, end);
+        (busy, end)
     }
 
-    fn try_complete_batched(&mut self, app: usize, window: u32) {
-        let Some(mut pw) = self.take_if_complete(app, window) else {
+    /// Completes `app`'s full `window`: a batched app first flushes its
+    /// batch, then the kernel runs, then an offloaded app ships only its
+    /// result to the CPU. Files the outcome.
+    fn complete(&mut self, app: usize, window: u32) {
+        let Some(mut pw) = self.apps[app].pending.remove(&window) else {
             return;
         };
-        // Flush: one interrupt, one bulk transfer of the whole batch.
-        let flush = self
-            .trace
-            .enter_span(pw.ready, TraceKind::Scheme, "iotse_core_flush");
-        let int_end = self.interrupt(pw.ready);
-        pw.processing.interrupt += self.cal.cpu_interrupt_handling;
-        let batch = pw.batch_bytes;
-        self.mcu_buffer_remove(batch);
-        pw.batch_bytes = 0;
-        let tx_end = self.transfer(int_end, batch);
-        pw.processing.data_transfer += self.cal.transfer_time(batch);
-        self.trace.event(
-            tx_end,
-            TraceKind::Scheme,
-            "batching",
-            &[("flushed_bytes", FieldValue::U64(batch as u64))],
-        );
-        self.trace.exit_span(flush, tx_end);
-        // Then compute on the CPU.
-        let compute = self.apps[app].workload.resources().cpu_compute;
-        let span = self
-            .trace
-            .enter_span(tx_end, TraceKind::Compute, "iotse_core_compute");
-        let (_, end) = self
-            .cpu
-            .task(&mut self.ledger, tx_end, compute, Routine::AppCompute);
-        self.settle(span);
-        self.trace.exit_span(span, end);
-        self.finish_window(app, pw, compute, end);
-    }
-
-    fn try_complete_offloaded(&mut self, app: usize, window: u32) {
-        let Some(mut pw) = self.take_if_complete(app, window) else {
-            return;
-        };
-        // Kernel runs on the MCU…
-        let compute = self.apps[app].workload.resources().mcu_compute;
-        let span = self
-            .trace
-            .enter_span(pw.ready, TraceKind::Compute, "iotse_core_compute");
-        let (_, mcu_done) = self
-            .mcu
-            .task(&mut self.ledger, pw.ready, compute, Routine::AppCompute);
-        self.settle(span);
-        self.trace.exit_span(span, mcu_done);
-        pw.processing.app_compute += compute;
+        let flow = self.apps[app].flow;
+        let mut ready = pw.ready;
+        if flow == AppFlow::Batched {
+            ready = self.flush(ready, pw.batch_bytes, "flushed_bytes");
+            pw.processing.interrupt += self.cal.cpu_interrupt_handling;
+            pw.processing.data_transfer += self.cal.transfer_time(pw.batch_bytes);
+        }
+        let (busy, mut done) = self.compute(app, ready);
+        pw.processing.app_compute += busy;
         let output = self.run_kernel(app, &pw.data);
-        // …and only the result crosses to the CPU.
-        let int_end = self.interrupt(mcu_done);
-        pw.processing.interrupt += self.cal.cpu_interrupt_handling;
-        let bytes = output.wire_bytes();
-        let tx_end = self.transfer(int_end, bytes);
-        pw.processing.data_transfer += self.cal.transfer_time(bytes);
-        self.trace.event(
-            tx_end,
-            TraceKind::Scheme,
-            "com",
-            &[("offloaded_bytes", FieldValue::U64(bytes as u64))],
-        );
-        let deadline = pw.data.end + self.apps[app].window_len;
+        if flow == AppFlow::Offloaded {
+            let bytes = output.wire_bytes();
+            let int_end = self.interrupt(done);
+            done = self.transfer(int_end, bytes);
+            pw.processing.interrupt += self.cal.cpu_interrupt_handling;
+            pw.processing.data_transfer += self.cal.transfer_time(bytes);
+            self.trace.event(
+                done,
+                TraceKind::Scheme,
+                "com",
+                &[("offloaded_bytes", FieldValue::U64(bytes as u64))],
+            );
+        }
         let outcome = WindowOutcome {
             window: pw.data.window,
             output,
-            completed_at: tx_end,
-            deadline,
+            completed_at: done,
+            deadline: pw.data.end + self.apps[app].window_len,
             processing: pw.processing,
         };
         self.record_outcome(app, outcome);
@@ -1174,40 +1183,6 @@ impl Exec {
         } else {
             workload.compute(data)
         }
-    }
-
-    /// Removes and returns `window`'s pending state iff every expected
-    /// sample has arrived; leaves it queued (and returns `None`) otherwise.
-    fn take_if_complete(&mut self, app: usize, window: u32) -> Option<PendingWindow> {
-        let complete = self.apps[app]
-            .pending
-            .get(&window)
-            .is_some_and(|pw| pw.received >= self.apps[app].expected);
-        if complete {
-            self.apps[app].pending.remove(&window)
-        } else {
-            None
-        }
-    }
-
-    fn finish_window(
-        &mut self,
-        app: usize,
-        mut pw: PendingWindow,
-        compute: SimDuration,
-        completed_at: SimTime,
-    ) {
-        pw.processing.app_compute += compute;
-        let output = self.run_kernel(app, &pw.data);
-        let deadline = pw.data.end + self.apps[app].window_len;
-        let outcome = WindowOutcome {
-            window: pw.data.window,
-            output,
-            completed_at,
-            deadline,
-            processing: pw.processing,
-        };
-        self.record_outcome(app, outcome);
     }
 
     /// Emits the QoS event and slack observation for a finished window,
@@ -1257,44 +1232,37 @@ impl Exec {
                 if batch == 0 {
                     continue;
                 }
-                let flush = self
-                    .trace
-                    .enter_span(ready, TraceKind::Scheme, "iotse_core_flush");
-                let int_end = self.interrupt(ready);
-                self.mcu_buffer_remove(batch);
-                let tx_end = self.transfer(int_end, batch);
-                self.trace.event(
-                    tx_end,
-                    TraceKind::Scheme,
-                    "batching",
-                    &[("forced_flush_bytes", FieldValue::U64(batch as u64))],
-                );
-                self.trace.exit_span(flush, tx_end);
-                let dur = self.cal.transfer_time(batch);
-                let handling = self.cal.cpu_interrupt_handling;
-                let Some(pw) = self.apps[app].pending.get_mut(&w) else {
-                    continue;
-                };
-                pw.batch_bytes = 0;
-                pw.processing.interrupt += handling;
-                pw.processing.data_transfer += dur;
-                pw.ready = pw.ready.max(tx_end);
+                let tx_end = self.flush(ready, batch, "forced_flush_bytes");
+                let cal = &self.cal;
+                if let Some(pw) = self.apps[app].pending.get_mut(&w) {
+                    pw.batch_bytes = 0;
+                    pw.processing.interrupt += cal.cpu_interrupt_handling;
+                    pw.processing.data_transfer += cal.transfer_time(batch);
+                    pw.ready = pw.ready.max(tx_end);
+                }
             }
         }
         self.flush_scratch = windows;
     }
 
-    fn mcu_buffer_remove(&mut self, bytes: usize) {
-        // Drain-and-restore keeps McuAccount's buffer API minimal.
-        let held = self.mcu.buffer_drain();
-        debug_assert!(held >= bytes, "buffer accounting out of sync");
-        let rest = held.saturating_sub(bytes);
-        if rest > 0 {
-            assert!(
-                self.mcu.buffer_push(rest),
-                "restoring drained buffer cannot fail"
-            );
-        }
+    /// Flushes `batch` buffered bytes: one interrupt, one bulk transfer.
+    /// `field` names the byte count on the `batching` event. Returns when
+    /// the transfer ends.
+    fn flush(&mut self, ready: SimTime, batch: usize, field: &str) -> SimTime {
+        let span = self
+            .trace
+            .enter_span(ready, TraceKind::Scheme, "iotse_core_flush");
+        let int_end = self.interrupt(ready);
+        self.mcu.buffer_release(batch);
+        let tx_end = self.transfer(int_end, batch);
+        self.trace.event(
+            tx_end,
+            TraceKind::Scheme,
+            "batching",
+            &[(field, FieldValue::U64(batch as u64))],
+        );
+        self.trace.exit_span(span, tx_end);
+        tx_end
     }
 }
 
@@ -1565,6 +1533,46 @@ mod tests {
         assert!(matches!(app.windows[0].output, AppOutput::Steps(3)));
         // More interrupts than one-per-window because of the early flushes.
         assert!(r.interrupts > 2, "interrupts {}", r.interrupts);
+    }
+
+    #[test]
+    fn a_batched_sample_too_big_for_the_mcu_goes_per_sample() {
+        // A 100 kB sample cannot fit the MCU's 80 KB even with an empty
+        // batch buffer, so every sample takes its own interrupt and
+        // transfer; the window's completion flush then moves an empty
+        // batch.
+        let big = 100_000;
+        let mut fat = Fake::stepish(AppId::A6);
+        fat.sensors = vec![crate::workload::SensorUsage {
+            sensor: SensorId::S8,
+            samples_per_window: 3,
+            bytes_per_sample_override: Some(big),
+        }];
+        let r = run(Scheme::Batching, vec![Box::new(fat)]);
+        assert_eq!(r.interrupts, 2 * (3 + 1));
+        assert_eq!(r.bytes_transferred, 2 * 3 * big as u64);
+        // Each sample fails its push twice: before and after the
+        // (empty) early flush.
+        assert_eq!(r.mcu.forced_flushes, 2 * 3 * 2);
+        let cal = Calibration::paper();
+        let app = r.app(AppId::A6).expect("ran");
+        assert_eq!(app.flow, AppFlow::Batched);
+        for w in &app.windows {
+            assert!(matches!(w.output, AppOutput::Steps(3)));
+            assert_eq!(w.processing.interrupt, cal.cpu_interrupt_handling * 4);
+            assert_eq!(
+                w.processing.data_transfer,
+                cal.transfer_time(big) * 3 + cal.transfer_time(0)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fake samples S10(hi), which has no scenario driver")]
+    fn a_sensor_without_a_driver_is_rejected_at_setup() {
+        let mut hi_res = Fake::stepish(AppId::A10);
+        hi_res.sensors = vec![crate::workload::SensorUsage::on_demand(SensorId::S10Hi)];
+        let _ = run(Scheme::Baseline, vec![Box::new(hi_res)]);
     }
 
     #[test]

@@ -191,9 +191,10 @@ impl McuAccount {
         self.buffer_bytes
     }
 
-    /// Empties the batch buffer, returning how many bytes it held.
-    pub fn buffer_drain(&mut self) -> usize {
-        std::mem::take(&mut self.buffer_bytes)
+    /// Releases `bytes` of the batch buffer once they have been flushed.
+    pub fn buffer_release(&mut self, bytes: usize) {
+        debug_assert!(self.buffer_bytes >= bytes, "buffer accounting out of sync");
+        self.buffer_bytes = self.buffer_bytes.saturating_sub(bytes);
     }
 
     // ---- time/energy accounting --------------------------------------------
@@ -351,9 +352,9 @@ mod tests {
         // Only 10 kB free now that reserve + buffer hold 80 kB… next push fails.
         assert!(!mcu.buffer_push(1));
         assert_eq!(mcu.stats().forced_flushes, 1);
-        assert_eq!(mcu.buffer_drain(), 10 * 1024);
-        assert_eq!(mcu.buffer_len(), 0);
-        assert!(mcu.buffer_push(1), "drain frees space");
+        mcu.buffer_release(8 * 1024);
+        assert_eq!(mcu.buffer_len(), 2 * 1024);
+        assert!(mcu.buffer_push(1), "release frees space");
         assert_eq!(mcu.stats().buffer_high_water, 10 * 1024);
     }
 
