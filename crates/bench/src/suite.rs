@@ -8,7 +8,8 @@
 //!   executor).
 //! * **queue** — raw event-engine schedule+drain throughput of dense
 //!   periodic ticks at 1k/100k/1M pending events (see `iotse_sim::queue`),
-//!   with the fired-event count gated exactly.
+//!   buffered as one batch and generated as one run, with the fired-event
+//!   count gated exactly.
 //! * **kernel** — per-kernel runtime of all eleven Table 2 workloads,
 //!   computing over a real sensor window sampled from [`PhysicalWorld`].
 //! * **fleet** — scaling of the scenario fleet at 1/2/4/8 worker threads.
@@ -181,34 +182,39 @@ pub fn cases() -> Vec<Case> {
     // (b) Raw event-engine throughput: schedule + drain n periodic ticks
     // (QUEUE_DEVICES per instant, 1 ms apart — the paper's dominant
     // traffic shape). The engine drains to empty, so `events` is exactly n
-    // and the baseline gates it bitwise.
+    // and the baseline gates it bitwise. Each rung runs twice: `engine`
+    // buffers the ticks as one batch, `generated` schedules them as one
+    // generated run, whose allocations are the same at every rung.
     fn queue_tick(fired: &mut u64, _: &mut Engine<u64>, _: u64, _: u64) {
         *fired += 1;
     }
     for (n, label) in QUEUE_RUNGS {
-        out.push(Case {
-            section: "queue",
-            workload: label.into(),
-            scheme: "engine".into(),
-            count_allocs: true,
-            run: Box::new(move |out| {
-                let mut engine: Engine<u64> = Engine::new();
-                engine.schedule_call_batch(
-                    "bench_tick",
-                    queue_tick,
-                    (0..n).map(|i| {
+        for scheme in ["engine", "generated"] {
+            out.push(Case {
+                section: "queue",
+                workload: label.into(),
+                scheme: scheme.into(),
+                count_allocs: true,
+                run: Box::new(move |out| {
+                    let ticks = (0..n).map(|i| {
                         let t = SimTime::ZERO
                             + SimDuration::from_micros(1_000) * ((i / QUEUE_DEVICES) as u64);
                         (t, i as u64, 0)
-                    }),
-                );
-                let mut fired = 0u64;
-                let outcome = engine.run(&mut fired);
-                assert!(matches!(outcome, RunOutcome::Drained));
-                assert_eq!(fired, n as u64, "queue case lost events");
-                out.add("events", engine.events_executed());
-            }),
-        });
+                    });
+                    let mut engine: Engine<u64> = Engine::new();
+                    if scheme == "generated" {
+                        engine.schedule_call_run("bench_tick", queue_tick, n, ticks);
+                    } else {
+                        engine.schedule_call_batch("bench_tick", queue_tick, ticks);
+                    }
+                    let mut fired = 0u64;
+                    let outcome = engine.run(&mut fired);
+                    assert!(matches!(outcome, RunOutcome::Drained));
+                    assert_eq!(fired, n as u64, "queue case lost events");
+                    out.add("events", engine.events_executed());
+                }),
+            });
+        }
     }
 
     // (c) Per-kernel runtimes for all eleven Table 2 workloads.
@@ -502,7 +508,7 @@ mod tests {
         );
         assert_eq!(
             cases.iter().filter(|c| c.section == "queue").count(),
-            QUEUE_RUNGS.len()
+            2 * QUEUE_RUNGS.len()
         );
         assert_eq!(
             cases.iter().filter(|c| c.section == "kernel").count(),
@@ -541,13 +547,17 @@ mod tests {
 
     #[test]
     fn queue_case_fires_every_scheduled_event() {
-        let mut case = cases()
+        let rung = cases()
             .into_iter()
-            .find(|c| c.section == "queue" && c.workload == "pending-1k")
-            .expect("pending-1k queue case");
-        let out = case.counters();
-        assert_eq!(out.get("events"), 1_000, "wrong event count");
-        assert_eq!(case.counters(), out, "queue case must replay bitwise");
+            .filter(|c| c.section == "queue" && c.workload == "pending-1k");
+        let mut schemes = Vec::new();
+        for mut case in rung {
+            let out = case.counters();
+            assert_eq!(out.get("events"), 1_000, "wrong event count");
+            assert_eq!(case.counters(), out, "queue case must replay bitwise");
+            schemes.push(case.scheme);
+        }
+        assert_eq!(schemes, ["engine", "generated"]);
     }
 
     #[test]

@@ -608,24 +608,26 @@ impl Exec {
         exec
     }
 
-    /// Schedules every tick of every window up front, plus any
-    /// interrupt-storm wakeups. Ticks go in as plain-`fn` calls, one
-    /// time-ordered batch per group, so each group is one sorted run of
-    /// the queue, sized exactly from the batch and never touching the
-    /// allocator per tick.
+    /// Schedules every tick of every window, plus any interrupt-storm
+    /// wakeups. Ticks go in as plain-`fn` calls, one generated run per
+    /// group: the queue computes each tick when the one before it fires,
+    /// so a group's pending ticks cost one queue entry however long the
+    /// run, and never touch the allocator per tick.
     fn schedule(&self, windows: u32) -> Engine<Exec> {
         let mut engine: Engine<Exec> = Engine::new();
         for (gi, g) in self.groups.iter().enumerate() {
             let window_len = self.apps[g.members[0]].window_len;
             let spw = u64::from(g.samples_per_window);
             let interval = window_len / spw;
+            let n = u64::from(windows) * spw;
             // Same (gi, w, i) order as scheduling each tick individually, so
             // sequence numbers — and therefore same-instant pop order — are
-            // unchanged. The flat index keeps the size hint exact.
-            engine.schedule_call_batch(
+            // unchanged.
+            engine.schedule_call_run(
                 "tick",
                 tick_trampoline,
-                (0..u64::from(windows) * spw).map(|k| {
+                n as usize,
+                (0..n).map(move |k| {
                     let (w, i) = (k / spw, k % spw);
                     let t = SimTime::ZERO + window_len * w + interval * i;
                     (t, gi as u64, w)

@@ -10,6 +10,7 @@
 //! outside quotes. A repeated `[section]` or a repeated key within one
 //! table is an error, so no value can silently shadow another.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -112,7 +113,11 @@ fn parse_scalar(v: &str, line: usize) -> Result<Value, SpecError> {
         }
         return Ok(Value::Str(inner.to_string()));
     }
-    let plain = v.replace('_', "");
+    let plain = if v.contains('_') {
+        Cow::Owned(v.replace('_', ""))
+    } else {
+        Cow::Borrowed(v)
+    };
     if plain.contains(['*', '/']) {
         if let Ok(x) = eval_expr(v) {
             if x.is_finite() {
@@ -183,7 +188,7 @@ pub fn parse(text: &str) -> Result<Document, SpecError> {
     let mut target = Target::None;
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
-        let line = strip_comment(raw).trim().to_string();
+        let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
@@ -245,9 +250,10 @@ pub fn parse(text: &str) -> Result<Document, SpecError> {
             // Unreachable: the target was inserted when the header parsed.
             return Err(SpecError::new(lineno, "internal: section vanished"));
         };
-        if table.insert(key.clone(), (lineno, value)).is_some() {
+        if table.contains_key(&key) {
             return Err(SpecError::new(lineno, format!("duplicate key `{key}`")));
         }
+        table.insert(key, (lineno, value));
     }
     Ok(doc)
 }

@@ -7,7 +7,6 @@
 //! every stacked bar in Figures 3, 7, 9, 10, 11 and 12 — and the Figure 4
 //! CPU/MCU/physical split — can be read straight out of the ledger.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use iotse_sim::metrics::MetricsRegistry;
@@ -30,6 +29,16 @@ pub enum Device {
 impl Device {
     /// All devices, in display order.
     pub const ALL: [Device; 4] = [Device::Cpu, Device::Mcu, Device::Link, Device::Sensor];
+
+    /// Position in [`Device::ALL`]: the ledger's row.
+    fn index(self) -> usize {
+        match self {
+            Device::Cpu => 0,
+            Device::Mcu => 1,
+            Device::Link => 2,
+            Device::Sensor => 3,
+        }
+    }
 }
 
 impl fmt::Display for Device {
@@ -81,6 +90,17 @@ impl Routine {
         Routine::AppCompute,
         Routine::Idle,
     ];
+
+    /// Position in [`Routine::ALL`]: the ledger's column.
+    fn index(self) -> usize {
+        match self {
+            Routine::DataCollection => 0,
+            Routine::Interrupt => 1,
+            Routine::DataTransfer => 2,
+            Routine::AppCompute => 3,
+            Routine::Idle => 4,
+        }
+    }
 }
 
 impl fmt::Display for Routine {
@@ -112,7 +132,11 @@ impl fmt::Display for Routine {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyLedger {
-    cells: BTreeMap<(Device, Routine), Energy>,
+    /// One cell per `(Device, Routine)`, indexed by [`Device::index`] then
+    /// [`Routine::index`], so row-major order is the `(Device, Routine)`
+    /// key order. `None` is a cell never charged, which `iter` skips and
+    /// `PartialEq` tells apart from a cell charged with zero.
+    cells: [[Option<Energy>; Routine::ALL.len()]; Device::ALL.len()],
 }
 
 impl EnergyLedger {
@@ -132,16 +156,13 @@ impl EnergyLedger {
             energy.as_microjoules() >= 0.0,
             "cannot charge negative energy ({energy}) to {device}/{routine}"
         );
-        *self.cells.entry((device, routine)).or_insert(Energy::ZERO) += energy;
+        *self.cells[device.index()][routine.index()].get_or_insert(Energy::ZERO) += energy;
     }
 
     /// Energy in one cell.
     #[must_use]
     pub fn cell(&self, device: Device, routine: Routine) -> Energy {
-        self.cells
-            .get(&(device, routine))
-            .copied()
-            .unwrap_or(Energy::ZERO)
+        self.cells[device.index()][routine.index()].unwrap_or(Energy::ZERO)
     }
 
     /// Total energy attributed to `routine` across all devices.
@@ -149,25 +170,20 @@ impl EnergyLedger {
     pub fn routine_total(&self, routine: Routine) -> Energy {
         self.cells
             .iter()
-            .filter(|((_, r), _)| *r == routine)
-            .map(|(_, &e)| e)
+            .filter_map(|row| row[routine.index()])
             .sum()
     }
 
     /// Total energy spent by `device` across all routines.
     #[must_use]
     pub fn device_total(&self, device: Device) -> Energy {
-        self.cells
-            .iter()
-            .filter(|((d, _), _)| *d == device)
-            .map(|(_, &e)| e)
-            .sum()
+        self.cells[device.index()].iter().flatten().copied().sum()
     }
 
     /// Grand total over every cell.
     #[must_use]
     pub fn total(&self) -> Energy {
-        self.cells.values().copied().sum()
+        self.cells.iter().flatten().flatten().copied().sum()
     }
 
     /// Total over the four workload routines (excludes [`Routine::Idle`]).
@@ -181,8 +197,11 @@ impl EnergyLedger {
 
     /// Adds every cell of `other` into this ledger.
     pub fn merge(&mut self, other: &EnergyLedger) {
-        for (&key, &e) in &other.cells {
-            *self.cells.entry(key).or_insert(Energy::ZERO) += e;
+        let cells = self.cells.iter_mut().flatten();
+        for (mine, theirs) in cells.zip(other.cells.iter().flatten()) {
+            if let Some(e) = theirs {
+                *mine.get_or_insert(Energy::ZERO) += *e;
+            }
         }
     }
 
@@ -197,9 +216,13 @@ impl EnergyLedger {
         }
     }
 
-    /// Iterates over the non-zero cells in deterministic order.
+    /// Iterates over the charged cells in `(Device, Routine)` order.
     pub fn iter(&self) -> impl Iterator<Item = (Device, Routine, Energy)> + '_ {
-        self.cells.iter().map(|(&(d, r), &e)| (d, r, e))
+        Device::ALL.into_iter().flat_map(move |d| {
+            Routine::ALL
+                .into_iter()
+                .filter_map(move |r| self.cells[d.index()][r.index()].map(|e| (d, r, e)))
+        })
     }
 
     /// Publishes the ledger as `iotse_energy_*` gauges (microjoules): the

@@ -96,9 +96,10 @@ impl<S> Engine<S> {
     }
 
     /// Creates an engine for a run of about `events` events. Nothing is
-    /// reserved up front: the queue sizes each batch's run from the batch
-    /// itself (see [`Engine::schedule_call_batch`]), and a reservation here
-    /// would be paid for twice.
+    /// reserved up front, because neither kind of run needs it: a
+    /// generated run holds one pending event however many it yields (see
+    /// [`Engine::schedule_call_run`]), and a batch's run is sized from the
+    /// batch itself (see [`Engine::schedule_call_batch`]).
     #[must_use]
     pub fn with_capacity(_events: usize) -> Self {
         Self::new()
@@ -203,10 +204,9 @@ impl<S> Engine<S> {
     }
 
     /// Schedules a whole batch of plain-function events in one call, as
-    /// one sorted run of the queue sized from the iterator's size hint
-    /// (see [`crate::queue::EventQueue::push_batch`]). The executor
-    /// schedules every tick of a sensor group this way, in time order, so
-    /// a whole run's schedule is a few runs that never regrow. Firing
+    /// buffered runs of the queue sized from the iterator's size hint
+    /// (see [`crate::queue::EventQueue::push_batch`]). The batch may be in
+    /// any order; the executor's fault storm goes in this way. Firing
     /// order is identical to calling [`Engine::schedule_call`] once per
     /// `(time, a, b)` tuple in iteration order.
     ///
@@ -234,6 +234,47 @@ impl<S> Engine<S> {
                 },
             )
         }));
+    }
+
+    /// Schedules `n` plain-function events as one *generated* run of the
+    /// queue (see [`crate::queue::EventQueue::push_run`]): `calls` must
+    /// yield exactly `n` `(time, a, b)` tuples in time order, and each is
+    /// computed only when the one before it fires. However long the run,
+    /// it holds one pending event. The executor schedules every tick of a
+    /// sensor group this way. Firing order is identical to
+    /// [`Engine::schedule_call_batch`] over the same tuples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a time is earlier than [`Engine::now`] at the call, or
+    /// (naming `label`) earlier than the time before it, or if `calls`
+    /// yields fewer or more than `n` tuples. Each check runs when its
+    /// tuple is computed.
+    // iotse-lint: hot-path
+    pub fn schedule_call_run<I>(&mut self, label: &'static str, f: CallFn<S>, n: usize, calls: I)
+    where
+        I: IntoIterator<Item = (SimTime, u64, u64)>,
+        I::IntoIter: 'static,
+        S: 'static,
+    {
+        let now = self.now;
+        self.queue.push_run(
+            label,
+            n,
+            calls.into_iter().map(move |(time, a, b)| {
+                assert!(
+                    time >= now,
+                    "cannot schedule {label:?} at {time} which is before now ({now})"
+                );
+                (
+                    time,
+                    Event {
+                        label,
+                        body: EventBody::Call { f, a, b },
+                    },
+                )
+            }),
+        );
     }
 
     /// Asks the run loop to stop after the current handler returns. Pending
@@ -474,6 +515,50 @@ mod tests {
         reference.run(&mut looped);
         assert_eq!(batched, looped);
         assert_eq!(engine.events_executed(), 20);
+    }
+
+    #[test]
+    fn generated_runs_fire_like_batches() {
+        fn push(log: &mut Vec<(u64, u64)>, e: &mut Engine<Vec<(u64, u64)>>, a: u64, b: u64) {
+            log.push((e.now().as_millis(), a * 100 + b));
+        }
+        // Two groups of ticks tying at every instant, then a closure at a
+        // tied instant scheduled after both.
+        let group = |g: u64| (0..6u64).map(move |k| (SimTime::from_millis(k / 2), g, k));
+        let schedule = |generated: bool| {
+            let mut engine = Engine::new();
+            for g in 0..2 {
+                if generated {
+                    engine.schedule_call_run("tick", push, 6, group(g));
+                } else {
+                    engine.schedule_call_batch("tick", push, group(g));
+                }
+            }
+            engine.schedule_at(SimTime::from_millis(1), |log: &mut Vec<(u64, u64)>, _| {
+                log.push((1, 999));
+            });
+            assert_eq!(engine.events_pending(), 13);
+            let mut log = Vec::new();
+            assert_eq!(engine.run(&mut log), RunOutcome::Drained);
+            log
+        };
+        let batched = schedule(false);
+        assert_eq!(batched[..5], [(0, 0), (0, 1), (0, 100), (0, 101), (1, 2)]);
+        assert_eq!(schedule(true), batched);
+    }
+
+    #[test]
+    #[should_panic(expected = "before now")]
+    fn generated_run_scheduling_in_the_past_panics() {
+        let mut engine: Engine<()> = Engine::new();
+        engine.schedule_at(SimTime::from_millis(5), |_, _| {});
+        engine.run(&mut ());
+        engine.schedule_call_run(
+            "late",
+            |_, _, _, _| {},
+            1,
+            [(SimTime::from_millis(1), 0u64, 0u64)],
+        );
     }
 
     #[test]

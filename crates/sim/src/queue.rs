@@ -10,17 +10,25 @@
 //! # Sorted runs
 //!
 //! The simulator schedules a run as a few streams that are already in
-//! time order: the executor pushes every tick of one sensor group as one
-//! batch, and an interrupt storm as one more. The queue keeps each stream
-//! as a *run*, a FIFO of entries sorted by `(time, seq)`, and merges the
+//! time order: the executor schedules every tick of one sensor group as
+//! one stream, and an interrupt storm as one more. The queue keeps each
+//! stream as a *run* of entries sorted by `(time, seq)`, and merges the
 //! runs with a small binary heap that holds the front key of every
-//! non-empty run. Appending to a run is O(1); popping takes the front of
-//! the least run and re-sifts its key, O(log k) for k runs. With k a
-//! handful and ~10^5 ticks pending, the heap stays tiny and the entries
-//! are read in order.
+//! non-empty run. Popping takes the front of the least run and re-sifts
+//! its key, O(log k) for k runs.
 //!
-//! Any schedule is accepted: a push earlier than the open run's tail
-//! opens a new run. Drained runs keep their buffers and are reused.
+//! A run's entries come from one of two sources:
+//!
+//! * a **buffer**, a FIFO the entries are written into up front. Any
+//!   schedule is accepted: a push earlier than the open run's tail opens a
+//!   new run. Appending is O(1), and drained runs keep their buffers and
+//!   are reused.
+//! * a **generator** ([`EventQueue::push_run`]), an iterator of exactly
+//!   `n` time-ordered entries whose sequence numbers are reserved up front.
+//!   Only the run's head is held; the next entry is computed when the head
+//!   pops. A run of a million ticks costs one head and one iterator, not a
+//!   million buffered entries, and pops in exactly the order the same
+//!   entries pushed as a batch would.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -47,6 +55,80 @@ impl<T> PartialEq for Scheduled<T> {
 }
 impl<T> Eq for Scheduled<T> {}
 
+/// One sorted run: buffered entries, or the head of a generated run.
+struct Run<T> {
+    /// Buffered entries in `(time, seq)` order. Empty while `gen` is set.
+    buf: VecDeque<Scheduled<T>>,
+    /// The rest of a generated run, head included.
+    gen: Option<Generated<T>>,
+}
+
+/// A generated run's head and the source of the entries after it.
+struct Generated<T> {
+    label: &'static str,
+    /// The pending entry; the next one takes the sequence number after it.
+    head: Scheduled<T>,
+    /// One past the last sequence number reserved for the run.
+    end_seq: u64,
+    source: Box<dyn Iterator<Item = (SimTime, T)>>,
+}
+
+impl<T> Run<T> {
+    /// `(time, seq)` of the run's first pending entry.
+    fn front(&self) -> Option<(SimTime, u64)> {
+        match &self.gen {
+            Some(g) => Some((g.head.time, g.head.seq)),
+            None => self.buf.front().map(|e| (e.time, e.seq)),
+        }
+    }
+
+    /// Removes the first pending entry; a generated run computes the entry
+    /// after it.
+    fn pop_front(&mut self) -> Option<Scheduled<T>> {
+        let Some(g) = &mut self.gen else {
+            return self.buf.pop_front();
+        };
+        match g.generate() {
+            Some(next) => Some(std::mem::replace(&mut g.head, next)),
+            None => self.gen.take().map(|g| g.head),
+        }
+    }
+}
+
+impl<T> Generated<T> {
+    /// The entry after `head`, or `None` once every reserved sequence
+    /// number is spent.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the run's label, if the source yields fewer or more
+    /// entries than were reserved, or an entry earlier than `head`.
+    fn generate(&mut self) -> Option<Scheduled<T>> {
+        let label = self.label;
+        let seq = self.head.seq + 1;
+        if seq == self.end_seq {
+            assert!(
+                self.source.next().is_none(),
+                "generated run {label:?} yielded more entries than it reserved"
+            );
+            return None;
+        }
+        let Some((time, item)) = self.source.next() else {
+            // iotse-lint: allow(IOTSE-E04) a miscounted run is a scheduler bug, like an out-of-order one
+            panic!(
+                "generated run {label:?} ended {} entries short",
+                self.end_seq - seq
+            );
+        };
+        assert!(
+            time >= self.head.time,
+            "generated run {label:?} went back in time: {time} after {}",
+            self.head.time
+        );
+        Some(Scheduled { time, seq, item })
+    }
+}
+
 /// A deterministic priority queue of timed events.
 ///
 /// # Examples
@@ -67,7 +149,7 @@ impl<T> Eq for Scheduled<T> {}
 pub struct EventQueue<T> {
     /// Runs sorted by `(time, seq)`. An empty run is either the open run
     /// or on `free`.
-    runs: Vec<VecDeque<Scheduled<T>>>,
+    runs: Vec<Run<T>>,
     /// `(time, seq, run)` of every non-empty run's front, least on top.
     fronts: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     /// Drained runs, reused before a new one is created.
@@ -102,21 +184,27 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Opens an empty run with room for `capacity` entries and returns its
-    /// index: the open run itself if it is empty, else a drained run, else
-    /// a new one.
+    /// A drained run from the free list, else a new one.
+    fn free_run(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            // lint: one run per sorted stream, reused once it drains
+            let buf = VecDeque::new();
+            self.runs.push(Run { buf, gen: None });
+            // Room for every run on the free list: pops never allocate.
+            self.free.reserve(self.runs.len());
+            self.runs.len() - 1
+        })
+    }
+
+    /// Opens an empty buffered run with room for `capacity` entries and
+    /// returns its index: the open run itself if it is empty, else a free
+    /// one.
     fn open_run(&mut self, capacity: usize) -> usize {
         let r = match self.open {
-            Some(r) if self.runs[r].is_empty() => r,
-            _ => self.free.pop().unwrap_or_else(|| {
-                // lint: one run per sorted stream, reused once it drains
-                self.runs.push(VecDeque::new());
-                // Room for every run on the free list: pops never allocate.
-                self.free.reserve(self.runs.len());
-                self.runs.len() - 1
-            }),
+            Some(r) if self.runs[r].buf.is_empty() => r,
+            _ => self.free_run(),
         };
-        self.runs[r].reserve(capacity);
+        self.runs[r].buf.reserve(capacity);
         self.open = Some(r);
         r
     }
@@ -128,10 +216,10 @@ impl<T> EventQueue<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let r = match self.open {
-            Some(r) if self.runs[r].back().is_none_or(|tail| tail.time <= time) => r,
+            Some(r) if self.runs[r].buf.back().is_none_or(|tail| tail.time <= time) => r,
             _ => self.open_run(0),
         };
-        let run = &mut self.runs[r];
+        let run = &mut self.runs[r].buf;
         if run.is_empty() {
             self.fronts.push(Reverse((time, seq, r)));
         }
@@ -160,6 +248,52 @@ impl<T> EventQueue<T> {
         pushed
     }
 
+    /// Schedules a *generated* run: exactly `n` entries from `entries`, in
+    /// time order, computed one at a time. The first entry is computed
+    /// now; each later one when its predecessor pops, so the run holds one
+    /// pending entry however long it is. Sequence numbers `seq0 .. seq0 +
+    /// n` are reserved up front, so the pop order is exactly that of
+    /// [`EventQueue::push_batch`] over the same entries. Returns `seq0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `label`, if `entries` yields fewer or more than `n`
+    /// entries, or an entry earlier than the one before it. The check on
+    /// each entry runs when it is computed.
+    pub fn push_run<I>(&mut self, label: &'static str, n: usize, entries: I) -> u64
+    where
+        I: IntoIterator<Item = (SimTime, T)>,
+        I::IntoIter: 'static,
+    {
+        let seq0 = self.next_seq;
+        let end_seq = seq0 + n as u64;
+        self.next_seq = end_seq;
+        let mut source = entries.into_iter();
+        let Some((time, item)) = source.next() else {
+            assert!(n == 0, "generated run {label:?} ended {n} entries short");
+            return seq0;
+        };
+        assert!(
+            n > 0,
+            "generated run {label:?} yielded more entries than it reserved"
+        );
+        let r = self.free_run();
+        self.runs[r].gen = Some(Generated {
+            label,
+            head: Scheduled {
+                time,
+                seq: seq0,
+                item,
+            },
+            end_seq,
+            // lint: one source per run, not one entry per tick
+            source: Box::new(source),
+        });
+        self.fronts.push(Reverse((time, seq0, r)));
+        self.len += n;
+        seq0
+    }
+
     /// Removes and returns the earliest entry (FIFO among ties), or `None`
     /// if the queue is empty.
     // iotse-lint: hot-path
@@ -169,7 +303,7 @@ impl<T> EventQueue<T> {
         let run = &mut self.runs[r];
         let entry = run.pop_front()?;
         match run.front() {
-            Some(next) => *front = Reverse((next.time, next.seq, r)),
+            Some((time, seq)) => *front = Reverse((time, seq, r)),
             None => {
                 PeekMut::pop(front);
                 if self.open != Some(r) {
@@ -340,7 +474,7 @@ mod tests {
         assert_eq!(q.push_batch(Hinted { produced: 0 }), 8);
         assert_eq!(q.len(), 8);
         assert_eq!(q.runs.len(), 1);
-        assert!(q.runs[0].capacity() >= 100, "upper hint not reserved");
+        assert!(q.runs[0].buf.capacity() >= 100, "upper hint not reserved");
         assert_eq!(drain(&mut q), (1..=8).collect::<Vec<_>>());
     }
 
@@ -422,6 +556,73 @@ mod tests {
         times.sort();
         let drained: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|s| s.time)).collect();
         assert_eq!(drained, times);
+    }
+
+    #[test]
+    #[should_panic(expected = "generated run \"ticks\" went back in time")]
+    fn an_out_of_order_generated_run_panics_with_its_label() {
+        let mut q = EventQueue::new();
+        let times = [5u64, 7, 6];
+        q.push_run("ticks", 3, times.map(|t| (SimTime::from_nanos(t), t)));
+        // The third entry is computed, and checked, when the second pops.
+        while q.pop().is_some() {}
+    }
+
+    #[test]
+    fn a_generated_run_of_the_wrong_length_panics_with_its_label() {
+        let message = |reserved: usize, yielded: u64| {
+            let err = std::panic::catch_unwind(move || {
+                let mut q = EventQueue::new();
+                q.push_run(
+                    "gen",
+                    reserved,
+                    (0..yielded).map(|t| (SimTime::from_nanos(t), t)),
+                );
+                while q.pop().is_some() {}
+            })
+            .expect_err("a miscounted run must panic");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        assert_eq!(message(5, 3), "generated run \"gen\" ended 2 entries short");
+        assert_eq!(message(2, 0), "generated run \"gen\" ended 2 entries short");
+        assert_eq!(
+            message(3, 4),
+            "generated run \"gen\" yielded more entries than it reserved"
+        );
+        assert_eq!(
+            message(0, 1),
+            "generated run \"gen\" yielded more entries than it reserved"
+        );
+    }
+
+    #[test]
+    fn a_generated_run_of_a_trillion_ticks_holds_one_entry() {
+        // Buffered, 10^12 entries would need terabytes; generated, the run
+        // is one head and one iterator, and popping computes each next
+        // entry in place of the head without touching a buffer.
+        const TICKS: usize = 1_000_000_000_000;
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(2), u64::MAX);
+        let seq0 = q.push_run(
+            "ticks",
+            TICKS,
+            (0..TICKS as u64).map(|k| (SimTime::from_nanos(k), k)),
+        );
+        assert_eq!(seq0, 1);
+        assert_eq!(q.len(), TICKS + 1);
+        assert_eq!(q.scheduled_total(), 1 + TICKS as u64);
+        let firsts: Vec<(u64, u64)> = (0..5)
+            .map(|_| q.pop().map(|s| (s.time.as_nanos(), s.item)).unwrap())
+            .collect();
+        // The buffered entry ties with tick 2 and was scheduled first.
+        assert_eq!(firsts, [(0, 0), (1, 1), (2, u64::MAX), (2, 2), (3, 3)]);
+        for k in 4..1_000u64 {
+            let s = q.pop().unwrap();
+            assert_eq!((s.time.as_nanos(), s.seq, s.item), (k, k + 1, k));
+        }
+        let generated = q.runs.iter().find(|r| r.gen.is_some()).unwrap();
+        assert_eq!(generated.buf.capacity(), 0, "a generated run buffered");
+        assert_eq!(q.len(), TICKS - 1_000);
     }
 
     #[test]

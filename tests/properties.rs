@@ -7,7 +7,7 @@
 //! to replay the exact case.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use iotse::apps::kernels::coap::{CoapCode, CoapMessage, CoapOption, CoapType};
 use iotse::apps::kernels::jpeg;
@@ -125,6 +125,22 @@ fn push_arb_batch(rng: &mut SimRng, q: &mut EventQueue<u64>, model: &mut HeapMod
     assert_eq!(q.scheduled_total(), model.next_seq);
 }
 
+/// Pushes a generated run of sorted times onto both the queue and the
+/// model. Like [`arb_time`]'s near-`base` draws, most entries tie with
+/// pending entries of other runs, buffered and generated alike.
+fn push_arb_run(rng: &mut SimRng, q: &mut EventQueue<u64>, model: &mut HeapModel, base: SimTime) {
+    let mut t = base;
+    let entries: Vec<(SimTime, u64)> = (0..rng.gen_range(0..40usize))
+        .map(|_| {
+            t = arb_time(rng, t);
+            (t, model.push(t))
+        })
+        .collect();
+    let seq0 = model.next_seq - entries.len() as u64;
+    assert_eq!(q.push_run("prop", entries.len(), entries), seq0);
+    assert_eq!(q.scheduled_total(), model.next_seq);
+}
+
 /// Drains both to empty, entry for entry.
 fn drain_against_model(q: &mut EventQueue<u64>, model: &mut HeapModel, case: u64) {
     while let Some((time, seq)) = model.pop() {
@@ -140,9 +156,11 @@ fn drain_against_model(q: &mut EventQueue<u64>, model: &mut HeapModel, case: u64
 
 /// The queue drains exactly like the heap model — seq-for-seq,
 /// time-for-time — under random interleavings of single pushes, sorted and
-/// unsorted batches, pops and `pop_at` probes. The mix covers ties between
-/// runs, batches that split into several runs, pushes that extend or
-/// reopen a drained run, and times up to `SimTime::MAX`.
+/// unsorted batches, generated runs, pops, `pop_at` probes and `clear`.
+/// The mix covers ties between buffered and generated runs, batches that
+/// split into several runs, pushes that extend or reopen a drained run,
+/// drained generated runs reused as buffered ones, and times up to
+/// `SimTime::MAX`.
 #[test]
 fn event_queue_matches_heap_model_on_any_interleaving() {
     forall(150, |case, rng| {
@@ -179,6 +197,11 @@ fn event_queue_matches_heap_model_on_any_interleaving() {
                 );
             } else if roll < 55 {
                 push_arb_batch(rng, &mut q, &mut model, frontier);
+            } else if roll < 64 {
+                push_arb_run(rng, &mut q, &mut model, frontier);
+            } else if roll < 65 {
+                q.clear();
+                model.heap.clear();
             } else {
                 let t = arb_time(rng, frontier);
                 let seq = model.push(t);
@@ -205,6 +228,7 @@ fn event_queue_clear_matches_heap_model() {
         let mut model = HeapModel::default();
         for _ in 0..rng.gen_range(1..6u32) {
             push_arb_batch(rng, &mut q, &mut model, SimTime::ZERO);
+            push_arb_run(rng, &mut q, &mut model, SimTime::ZERO);
         }
         for _ in 0..rng.gen_range(0..20u32) {
             let want = model.pop();
@@ -320,6 +344,130 @@ fn ledger_merge_adds() {
             (merged.total().as_microjoules() - sum.as_microjoules()).abs() < 1e-6,
             "case {case}"
         );
+    });
+}
+
+/// The ledger as the `BTreeMap` it was before it became a dense array:
+/// the oracle for cell order, absent-vs-zero cells, equality and the
+/// summation order of every total.
+#[derive(Clone, Default, PartialEq)]
+struct MapLedger {
+    cells: BTreeMap<(Device, Routine), Energy>,
+}
+
+impl MapLedger {
+    fn charge(&mut self, device: Device, routine: Routine, energy: Energy) {
+        *self.cells.entry((device, routine)).or_insert(Energy::ZERO) += energy;
+    }
+
+    fn routine_total(&self, routine: Routine) -> Energy {
+        self.cells
+            .iter()
+            .filter(|((_, r), _)| *r == routine)
+            .map(|(_, &e)| e)
+            .sum()
+    }
+
+    fn device_total(&self, device: Device) -> Energy {
+        self.cells
+            .iter()
+            .filter(|((d, _), _)| *d == device)
+            .map(|(_, &e)| e)
+            .sum()
+    }
+
+    fn total(&self) -> Energy {
+        self.cells.values().copied().sum()
+    }
+
+    fn merge(&mut self, other: &MapLedger) {
+        for (&key, &e) in &other.cells {
+            *self.cells.entry(key).or_insert(Energy::ZERO) += e;
+        }
+    }
+}
+
+/// A random cell and a charge for it: zero one time in eight, else a
+/// magnitude from nanojoules to kilojoules, so summation order shows in
+/// the low bits of every total.
+fn arb_charge(rng: &mut SimRng) -> (Device, Routine, Energy) {
+    let d = Device::ALL[rng.gen_range(0..4usize)];
+    let r = Routine::ALL[rng.gen_range(0..5usize)];
+    let uj = if rng.gen_range(0..8u32) == 0 {
+        0.0
+    } else {
+        rng.gen::<f64>() * 10f64.powi(rng.gen_range(-3..10i32))
+    };
+    (d, r, Energy::from_microjoules(uj))
+}
+
+/// Asserts the dense ledger reads exactly like the map, bit for bit.
+fn assert_ledger_matches(dense: &EnergyLedger, map: &MapLedger, case: u64) {
+    let bits = |e: Energy| e.as_microjoules().to_bits();
+    let dense_cells: Vec<(Device, Routine, u64)> =
+        dense.iter().map(|(d, r, e)| (d, r, bits(e))).collect();
+    let map_cells: Vec<(Device, Routine, u64)> = map
+        .cells
+        .iter()
+        .map(|(&(d, r), &e)| (d, r, bits(e)))
+        .collect();
+    assert_eq!(dense_cells, map_cells, "case {case}: cells diverged");
+    for d in Device::ALL {
+        assert_eq!(
+            bits(dense.device_total(d)),
+            bits(map.device_total(d)),
+            "case {case}"
+        );
+        for r in Routine::ALL {
+            let want = map.cells.get(&(d, r)).copied().unwrap_or(Energy::ZERO);
+            assert_eq!(bits(dense.cell(d, r)), bits(want), "case {case}");
+        }
+    }
+    for r in Routine::ALL {
+        assert_eq!(
+            bits(dense.routine_total(r)),
+            bits(map.routine_total(r)),
+            "case {case}"
+        );
+    }
+    assert_eq!(bits(dense.total()), bits(map.total()), "case {case}");
+}
+
+/// The dense ledger matches the map oracle on random charge sequences:
+/// same cells in the same order, bitwise-equal totals, the same merge,
+/// and the same equality, including a zero charge to an absent cell.
+#[test]
+fn ledger_matches_map_oracle() {
+    forall(300, |case, rng| {
+        let (mut a, mut b) = (EnergyLedger::new(), EnergyLedger::new());
+        let (mut ma, mut mb) = (MapLedger::default(), MapLedger::default());
+        for i in 0..rng.gen_range(0..60usize) {
+            let (d, r, e) = arb_charge(rng);
+            if i % 3 == 0 {
+                b.charge(d, r, e);
+                mb.charge(d, r, e);
+            } else {
+                a.charge(d, r, e);
+                ma.charge(d, r, e);
+            }
+        }
+        assert_ledger_matches(&a, &ma, case);
+        assert_ledger_matches(&b, &mb, case);
+        assert_eq!(a == b, ma == mb, "case {case}: equality diverged");
+
+        let (d, r, _) = arb_charge(rng);
+        let (mut a0, mut ma0) = (a.clone(), ma.clone());
+        a0.charge(d, r, Energy::ZERO);
+        ma0.charge(d, r, Energy::ZERO);
+        assert_eq!(
+            a0 == a,
+            ma0 == ma,
+            "case {case}: zero-charge equality diverged"
+        );
+
+        a.merge(&b);
+        ma.merge(&mb);
+        assert_ledger_matches(&a, &ma, case);
     });
 }
 
