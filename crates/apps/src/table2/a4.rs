@@ -7,7 +7,7 @@
 //! The body is streamed straight into a reusable [`Scratch`] lane with
 //! [`json::write_escaped`]/[`json::write_number`], byte-identical to
 //! serializing the equivalent [`Json`] tree (`Json::Object` is a `BTreeMap`,
-//! so [`M2xClient::STREAMS`] is kept in sorted-name order) — but without
+//! so `M2xClient::STREAMS` is kept in sorted-name order) — but without
 //! the ~18 k tree-node allocations per window the tree used to cost.
 
 use std::fmt::Write as _;

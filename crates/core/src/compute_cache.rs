@@ -22,18 +22,20 @@
 //!   bit-identical. A spurious miss merely recomputes; a spurious hit would
 //!   need a simultaneous collision in both folds.
 //!
-//! Concurrency mirrors the signal cache: lookups hold a global mutex
-//! briefly, kernel builds run *outside* the lock, and a cold-key race keeps
-//! the first inserted value (both racers computed identical outputs, so
-//! either is correct and all callers converge on one). The map clears
-//! itself past [`MAX_ENTRIES`] instead of maintaining an LRU chain.
+//! Concurrency mirrors the signal cache: kernel builds run *outside* the
+//! lock, and a lookup holds the global mutex only while it copies an output
+//! in or out. Outputs are stored by value, not shared, because every caller
+//! takes its own copy anyway. A cold-key race keeps the first inserted
+//! value (both racers computed identical outputs, so either is correct and
+//! all callers converge on one). The map clears itself past
+//! [`MAX_ENTRIES`] instead of maintaining an LRU chain.
 //!
 //! [`Workload::memoizable`]: crate::workload::Workload::memoizable
 //! [`Workload::memo_salt`]: crate::workload::Workload::memo_salt
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use iotse_sensors::reading::SampleValue;
 use iotse_sensors::signal::cache::Fingerprint128;
@@ -46,7 +48,7 @@ use crate::workload::{AppId, AppOutput, WindowData};
 pub const MAX_ENTRIES: usize = 4096;
 
 type Key = (AppId, u128, u128);
-type Store = BTreeMap<Key, Arc<AppOutput>>;
+type Store = BTreeMap<Key, AppOutput>;
 
 static CACHE: OnceLock<Mutex<Store>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -125,18 +127,16 @@ pub fn memoized_output(
         .cloned()
     {
         HITS.fetch_add(1, Ordering::Relaxed);
-        return (*hit).clone();
+        return hit;
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    // lint: miss path only — one shared box per distinct (app, salt, window)
-    let value = Arc::new(compute());
+    let value = compute();
     // iotse-lint: allow(IOTSE-E04) poisoning only follows a kernel panic, which already aborts the run
     let mut map = store().lock().expect("compute cache poisoned");
     if map.len() >= MAX_ENTRIES && !map.contains_key(&key) {
         map.clear();
     }
-    let entry = map.entry(key).or_insert(value);
-    (**entry).clone()
+    map.entry(key).or_insert(value).clone()
 }
 
 /// A point-in-time view of the cache's counters.

@@ -480,7 +480,10 @@ impl MetricsState {
 
 /// The executor state driven by the engine.
 struct Exec {
-    world: PhysicalWorld,
+    /// Boxed for its heap placement: held inline, the world changed the
+    /// heap's layout so that clearing the signal cache between benchmark
+    /// passes trimmed the heap (EXPERIMENTS.md, seventh point).
+    world: Box<PhysicalWorld>,
     cal: Calibration,
     cpu: CpuAccount,
     mcu: McuAccount,
@@ -504,8 +507,8 @@ struct Exec {
     bytes_transferred: u64,
     /// Compiled fault schedule; `None` on the (default) fault-free path.
     faults: Option<FaultPlan>,
-    /// Values latched by stuck-at faults, keyed by sensor.
-    stuck: BTreeMap<SensorId, SampleValue>,
+    /// Values latched by stuck-at faults, indexed by [`SensorId::slot`].
+    stuck: [Option<SampleValue>; 10],
     /// Windowed telemetry recorder; `None` (the default) records nothing
     /// and leaves the run bitwise identical to a telemetry-free build.
     telemetry: Option<TelemetryState>,
@@ -557,7 +560,7 @@ impl Exec {
             // No scripts, no plan: the faults-off path must cost nothing
             // and change nothing (see the `faults` builder).
             faults: (!s.faults.is_empty()).then(|| FaultPlan::new(&seeds, &s.faults)),
-            world: PhysicalWorld::new(&seeds, world),
+            world: Box::new(PhysicalWorld::new(&seeds, world)),
             cal: s.cal,
             cpu,
             mcu,
@@ -578,7 +581,7 @@ impl Exec {
             interrupts: 0,
             sensor_reads: 0,
             bytes_transferred: 0,
-            stuck: BTreeMap::new(),
+            stuck: Default::default(),
             telemetry: None,
         };
         for (app, flow) in s.apps.into_iter().zip(flows) {
@@ -907,26 +910,23 @@ impl Exec {
         s: &mut SensorSample,
         disposition: Option<SensorDisposition>,
     ) {
+        let latch = &mut self.stuck[usize::from(sensor.slot())];
         match disposition {
             Some(SensorDisposition::Stick) => {
-                if let Some(latched) = self.stuck.get(&sensor) {
+                if let Some(latched) = latch {
                     apply_sample_fault(s, &SampleFault::StuckAt(latched));
                 } else {
                     // First read under the fault latches; later reads
                     // in the window replay it.
-                    self.stuck.insert(sensor, s.value.clone());
+                    *latch = Some(s.value.clone());
                 }
             }
             Some(SensorDisposition::Noise(offset)) => {
                 apply_sample_fault(s, &SampleFault::Noise(offset));
             }
-            _ => {
-                // A genuine read releases any latch, so a later
-                // stuck-at window latches afresh.
-                if self.faults.is_some() {
-                    self.stuck.remove(&sensor);
-                }
-            }
+            // A genuine read releases any latch, so a later stuck-at
+            // window latches afresh.
+            _ => *latch = None,
         }
     }
 

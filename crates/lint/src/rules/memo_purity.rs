@@ -1,6 +1,6 @@
 //! `IOTSE-M11` — memoizable kernels must be transitively pure.
 //!
-//! PR 5's `compute_cache` replays a kernel's cached [`AppOutput`] whenever
+//! The `compute_cache` replays a kernel's cached `AppOutput` whenever
 //! the `(app, salt, window fingerprint)` key repeats — which is only sound
 //! if the kernel is a pure function of the window. The dynamic fleet tests
 //! sample that property; this rule *proves* it: for every `Workload` impl

@@ -11,11 +11,16 @@
 //! * [`signal`] — deterministic synthetic phenomena **with ground truth**:
 //!   walking gait, ECG beats, earthquakes, spoken keywords, environmental
 //!   random walks, camera frames, fingerprints.
-//! * [`driver`] — the register-read and formatting tasks of the §II-B read
-//!   pipeline, with quantization. Task I's availability errors are the
-//!   fault layer's `sensor-unavailable` kind.
-//! * [`world`] — [`PhysicalWorld`]: one shared world
-//!   per scenario, the property BEAM's sensor sharing relies on.
+//! * [`driver`] — the ADC register: [`driver::quantize`] is the
+//!   register-read and formatting tasks (II and III) of the §II-B read
+//!   pipeline. Task I's availability errors are the fault layer's
+//!   `sensor-unavailable` kind, decided before the world is read.
+//! * [`world`] — [`PhysicalWorld`]: one shared world per scenario, the
+//!   property BEAM's sensor sharing relies on. It owns every generator
+//!   once, and a read is one `match` on the [`SensorId`]: sample the
+//!   phenomenon, quantize it, stamp the slot's sequence number.
+//! * [`faults`] — the sample-path perturbations (stuck-at, noise) the
+//!   fault layer applies after a read.
 //!
 //! # Examples
 //!
@@ -50,6 +55,6 @@ pub mod spec;
 pub mod world;
 
 pub use bus::BusKind;
-pub use reading::{SampleValue, SensorSample, SignalSource};
+pub use reading::{SampleValue, SensorSample};
 pub use spec::{PayloadKind, SensorId, SensorSpec};
 pub use world::{PhysicalWorld, WorldConfig};

@@ -1,8 +1,8 @@
 //! Decoded sensor readings.
 //!
-//! A [`SensorSample`] is what the MCU-side driver hands upward after the
-//! three §II-B tasks (check, read register, format): an engineering-unit
-//! value stamped with its source and acquisition time. The *wire* size of a
+//! A [`SensorSample`] is what a read hands upward after the three §II-B
+//! tasks (check, read register, format): an engineering-unit value stamped
+//! with its source, sequence number and acquisition time. The *wire* size of a
 //! sample is a property of the sensor spec (Table I), not of the decoded
 //! value.
 
@@ -101,20 +101,6 @@ impl fmt::Display for SensorSample {
             self.sensor, self.seq, self.acquired_at, self.value
         )
     }
-}
-
-/// A continuous source of values for one sensor: the simulated physical
-/// phenomenon behind it.
-///
-/// Implementations must be deterministic functions of their construction
-/// seed and of `t` in the sense that sampling the *same instants in the same
-/// order* reproduces the same values.
-pub trait SignalSource {
-    /// The value of the phenomenon at instant `t`.
-    ///
-    /// `t` must be non-decreasing across calls; generators may keep
-    /// low-pass state.
-    fn sample(&mut self, t: SimTime) -> SampleValue;
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@ use std::sync::Arc;
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};
 
-use crate::reading::{SampleValue, SignalSource};
 use crate::signal::cache;
 
 /// The keyword vocabulary of the synthetic speaker.
@@ -147,12 +146,6 @@ impl AudioGenerator {
         h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         v + self.noise_std * (u - 0.5) * 2.0
-    }
-}
-
-impl SignalSource for AudioGenerator {
-    fn sample(&mut self, t: SimTime) -> SampleValue {
-        SampleValue::Scalar(self.value_at(t))
     }
 }
 

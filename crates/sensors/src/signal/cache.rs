@@ -51,6 +51,7 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
 fn shelf() -> &'static Mutex<Shelf> {
+    // lint: BTreeMap::new is alloc-free; the shelf is built once per process
     CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -157,6 +158,7 @@ pub fn memoized<T: Send + Sync + 'static>(
         }
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
+    // lint: memoized build, once per key
     let value = Arc::new(build());
     let mut map = shelf().lock().expect("signal cache poisoned");
     if map.len() >= MAX_ENTRIES && !map.contains_key(&key) {

@@ -12,7 +12,6 @@ use std::sync::Arc;
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::SimTime;
 
-use crate::reading::{SampleValue, SignalSource};
 use crate::signal::cache;
 
 /// Configuration of the synthetic heart.
@@ -175,12 +174,6 @@ impl EcgGenerator {
         let h = t.as_nanos().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
         v + self.profile.noise_std * (u - 0.5) * 2.0
-    }
-}
-
-impl SignalSource for EcgGenerator {
-    fn sample(&mut self, t: SimTime) -> SampleValue {
-        SampleValue::Scalar(self.value_at(t))
     }
 }
 

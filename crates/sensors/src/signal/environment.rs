@@ -9,8 +9,6 @@ use iotse_sim::rng::SeedTree;
 use iotse_sim::rng::SimRng;
 use iotse_sim::time::SimTime;
 
-use crate::reading::{SampleValue, SignalSource};
-
 /// Which environmental quantity to synthesize, with realistic defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quantity {
@@ -106,12 +104,6 @@ impl EnvironmentGenerator {
             self.value = self.value.clamp(min, max);
         }
         self.value
-    }
-}
-
-impl SignalSource for EnvironmentGenerator {
-    fn sample(&mut self, t: SimTime) -> SampleValue {
-        SampleValue::Scalar(self.sample_scalar(t))
     }
 }
 

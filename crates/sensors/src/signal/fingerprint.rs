@@ -60,9 +60,11 @@ impl FingerTemplate {
     pub fn of_person_shared(seeds: &SeedTree, person: u32) -> Arc<Self> {
         cache::memoized(
             "finger/template",
+            // lint: the template's stream label; scanners memoize per person
             seeds.derive(&format!("signal/finger/{person}")),
             u128::from(person),
             || {
+                // lint: memoized build, once per person and seed
                 let mut rng: SimRng = seeds.stream(&format!("signal/finger/{person}"));
                 let minutiae = (0..MINUTIAE_PER_TEMPLATE)
                     .map(|_| Minutia {
@@ -70,6 +72,7 @@ impl FingerTemplate {
                         y: rng.gen(),
                         angle: rng.gen(),
                     })
+                    // lint: memoized build, once per person and seed
                     .collect();
                 FingerTemplate { person, minutiae }
             },
@@ -159,6 +162,7 @@ impl FingerprintScanner {
             .entry(person)
             .or_insert_with(|| FingerTemplate::of_person_shared(&seeds, person))
             .clone();
+        // lint: each scan owns its minutiae, as the sample owns its payload
         let mut minutiae: Vec<Minutia> = Vec::with_capacity(reference.minutiae.len());
         for m in &reference.minutiae {
             if self.rng.gen::<f64>() <= 0.06 {

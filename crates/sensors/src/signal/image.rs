@@ -104,6 +104,7 @@ impl ImageGenerator {
     pub fn frame(&mut self, index: u64) -> Frame {
         let cached = cache::memoized(
             "image/frame",
+            // lint: the frame's stream label, once per 24 KiB frame read
             self.seeds.derive(&format!("frame/{index}")),
             cache::fingerprint(&[self.width as u64, self.height as u64, index]),
             || self.render(index),
@@ -113,7 +114,9 @@ impl ImageGenerator {
 
     /// Uncached rendering of frame `index`.
     fn render(&self, index: u64) -> Frame {
+        // lint: memoized build, once per frame index and seed
         let mut rng: SimRng = self.seeds.stream(&format!("frame/{index}"));
+        // lint: the frame owns its pixels
         let mut pixels = vec![0u8; self.width * self.height * 3];
         // Gradient background whose direction shifts with the frame index.
         let gx = 0.5 + 0.5 * ((index as f64) * 0.7).sin();

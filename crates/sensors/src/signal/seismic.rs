@@ -11,7 +11,6 @@ use std::f64::consts::PI;
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};
 
-use crate::reading::{SampleValue, SignalSource};
 use crate::signal::gait::GRAVITY;
 
 /// One injected earthquake.
@@ -131,12 +130,6 @@ impl SeismicGenerator {
             }
         }
         [x, y, z]
-    }
-}
-
-impl SignalSource for SeismicGenerator {
-    fn sample(&mut self, t: SimTime) -> SampleValue {
-        SampleValue::Triple(self.value_at(t))
     }
 }
 

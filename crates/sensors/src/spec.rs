@@ -50,11 +50,16 @@ impl SensorId {
     #[must_use]
     pub fn slot(self) -> u16 {
         match self {
-            SensorId::S10Hi => 9,
-            other => Self::ALL
-                .iter()
-                .position(|&s| s == other)
-                .map_or(u16::MAX, |i| i as u16),
+            SensorId::S1 => 0,
+            SensorId::S2 => 1,
+            SensorId::S3 => 2,
+            SensorId::S4 => 3,
+            SensorId::S5 => 4,
+            SensorId::S6 => 5,
+            SensorId::S7 => 6,
+            SensorId::S8 => 7,
+            SensorId::S9 => 8,
+            SensorId::S10 | SensorId::S10Hi => 9,
         }
     }
 }
@@ -266,6 +271,14 @@ mod tests {
     #[test]
     fn validation_accepts_table_row() {
         assert!(spec().validate().is_ok());
+    }
+
+    #[test]
+    fn slots_follow_the_table_order() {
+        for (i, id) in SensorId::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(id.slot()), i);
+        }
+        assert_eq!(SensorId::S10Hi.slot(), SensorId::S10.slot());
     }
 
     #[test]

@@ -6,17 +6,13 @@
 //! *same* accelerometer samples, so sharing reads (BEAM) changes energy but
 //! not results.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::rc::Rc;
 
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::SimTime;
 
-use crate::catalog;
-use crate::driver::SensorDriver;
-use crate::reading::{SampleValue, SensorSample, SignalSource};
+use crate::driver::quantize;
+use crate::reading::{SampleValue, SensorSample};
 use crate::signal::audio::AudioGenerator;
 use crate::signal::ecg::{EcgGenerator, EcgProfile};
 use crate::signal::environment::{EnvironmentGenerator, Quantity};
@@ -59,16 +55,8 @@ impl Default for WorldConfig {
     }
 }
 
-/// Adapter turning a closure into a [`SignalSource`].
-struct FnSource<F: FnMut(SimTime) -> SampleValue>(F);
-
-impl<F: FnMut(SimTime) -> SampleValue> SignalSource for FnSource<F> {
-    fn sample(&mut self, t: SimTime) -> SampleValue {
-        (self.0)(t)
-    }
-}
-
-/// All phenomena plus one [`SensorDriver`] per sensor.
+/// Every phenomenon of one scenario, each owned once, plus one sequence
+/// counter per sensor slot.
 ///
 /// # Examples
 ///
@@ -84,136 +72,56 @@ impl<F: FnMut(SimTime) -> SampleValue> SignalSource for FnSource<F> {
 /// ```
 pub struct PhysicalWorld {
     config: WorldConfig,
-    drivers: BTreeMap<SensorId, SensorDriver>,
-    gait: Rc<RefCell<GaitGenerator>>,
-    seismic: Rc<RefCell<SeismicGenerator>>,
-    ecg: Rc<RefCell<EcgGenerator>>,
-    audio: Rc<RefCell<AudioGenerator>>,
+    /// S1, S2, S5, S7 and S9, in that order.
+    env: [EnvironmentGenerator; 5],
+    gait: GaitGenerator,
+    seismic: SeismicGenerator,
+    ecg: EcgGenerator,
+    audio: AudioGenerator,
+    scanner: FingerprintScanner,
+    camera: ImageGenerator,
+    /// The next sequence number of each sensor, indexed by
+    /// [`SensorId::slot`].
+    seq: [u64; 10],
 }
 
 impl std::fmt::Debug for PhysicalWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhysicalWorld")
-            .field("sensors", &self.drivers.len())
             .field("horizon", &self.config.horizon)
+            .field("seq", &self.seq)
             .finish()
     }
 }
 
 impl PhysicalWorld {
-    /// Builds the world: all generators and one driver per Table I sensor.
+    /// Builds the world: every generator behind the ten Table I sensors.
     #[must_use]
     pub fn new(seeds: &SeedTree, config: WorldConfig) -> Self {
-        let gait = Rc::new(RefCell::new(GaitGenerator::new(seeds, config.gait)));
-        let seismic = Rc::new(RefCell::new(SeismicGenerator::new(
-            seeds,
-            0.02,
-            config.quakes.clone(),
-        )));
-        let ecg = Rc::new(RefCell::new(EcgGenerator::new(
-            seeds,
-            config.ecg,
-            config.horizon,
-        )));
-        let audio = Rc::new(RefCell::new(AudioGenerator::new(
-            seeds,
-            config.utterance_count,
-            config.horizon,
-        )));
-        let camera = Rc::new(RefCell::new(ImageGenerator::new(
-            seeds, LOW_RES.0, LOW_RES.1,
-        )));
-        let scanner = Rc::new(RefCell::new(FingerprintScanner::new(seeds)));
-
-        let mut drivers = BTreeMap::new();
-        let mut add = |id: SensorId, source: Box<dyn SignalSource>| {
-            drivers.insert(id, SensorDriver::new(catalog::spec(id), source));
-        };
-
-        // Environmental scalars.
-        for (id, q) in [
-            (SensorId::S1, Quantity::PressureHpa),
-            (SensorId::S2, Quantity::TemperatureC),
-            (SensorId::S5, Quantity::AirQuality),
-            (SensorId::S7, Quantity::LightLux),
-            (SensorId::S9, Quantity::DistanceM),
-        ] {
-            let mut env = EnvironmentGenerator::new(seeds, q);
-            add(id, Box::new(FnSource(move |t| env.sample(t))));
-        }
-
-        // S4: gait and seismic superimposed on the same physical device.
-        {
-            let gait = Rc::clone(&gait);
-            let seismic = Rc::clone(&seismic);
-            add(
-                SensorId::S4,
-                Box::new(FnSource(move |t| {
-                    let g = gait.borrow_mut().sample_triple(t);
-                    let s = seismic.borrow().value_at(t);
-                    SampleValue::Triple([g[0] + s[0], g[1] + s[1], g[2] + (s[2] - GRAVITY)])
-                })),
-            );
-        }
-
-        // S6: pulse waveform.
-        {
-            let ecg = Rc::clone(&ecg);
-            add(
-                SensorId::S6,
-                Box::new(FnSource(move |t| {
-                    SampleValue::Scalar(ecg.borrow().value_at(t))
-                })),
-            );
-        }
-
-        // S8: microphone.
-        {
-            let audio = Rc::clone(&audio);
-            add(
-                SensorId::S8,
-                Box::new(FnSource(move |t| {
-                    SampleValue::Scalar(audio.borrow().value_at(t))
-                })),
-            );
-        }
-
-        // S3: fingerprint scans, cycling through the enrolled people.
-        {
-            let scanner = Rc::clone(&scanner);
-            let people = config.enrolled_people.max(1);
-            let mut scan_seq = 0u32;
-            add(
-                SensorId::S3,
-                Box::new(FnSource(move |_t| {
-                    let person = scan_seq % people;
-                    scan_seq += 1;
-                    SampleValue::Bytes(scanner.borrow_mut().scan(person).encode())
-                })),
-            );
-        }
-
-        // S10: camera frames by sequence.
-        {
-            let camera = Rc::clone(&camera);
-            let mut frame_seq = 0u64;
-            add(
-                SensorId::S10,
-                Box::new(FnSource(move |_t| {
-                    let frame = camera.borrow_mut().frame(frame_seq);
-                    frame_seq += 1;
-                    SampleValue::Bytes(frame.pixels)
-                })),
-            );
-        }
-
+        let gait = GaitGenerator::new(seeds, config.gait);
+        let seismic = SeismicGenerator::new(seeds, 0.02, config.quakes.clone());
+        let ecg = EcgGenerator::new(seeds, config.ecg, config.horizon);
+        let audio = AudioGenerator::new(seeds, config.utterance_count, config.horizon);
+        let camera = ImageGenerator::new(seeds, LOW_RES.0, LOW_RES.1);
+        let scanner = FingerprintScanner::new(seeds);
+        let env = [
+            Quantity::PressureHpa,
+            Quantity::TemperatureC,
+            Quantity::AirQuality,
+            Quantity::LightLux,
+            Quantity::DistanceM,
+        ]
+        .map(|q| EnvironmentGenerator::new(seeds, q));
         PhysicalWorld {
             config,
-            drivers,
+            env,
             gait,
             seismic,
             ecg,
             audio,
+            scanner,
+            camera,
+            seq: [0; 10],
         }
     }
 
@@ -223,57 +131,85 @@ impl PhysicalWorld {
         &self.config
     }
 
-    /// Reads sensor `id` at instant `t` through its driver.
+    /// Reads sensor `id` at instant `t`: samples its phenomenon, passes
+    /// scalars and axes through the ADC register ([`quantize`], §II-B
+    /// Tasks II and III) and stamps the slot's next sequence number.
+    /// [`SensorId::S10Hi`] reads S10's camera and shares its slot.
     ///
     /// The read cannot fail: Task-I availability errors are injected by the
     /// fault layer before the world is asked. The `Result` with an
     /// uninhabited error type keeps existing `.is_ok()`/`?` call sites
     /// compiling; destructure it with `let Ok(sample) = …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not one of the ten scenario sensors (the high-res
-    /// image variant has no periodic driver).
     pub fn read(&mut self, id: SensorId, t: SimTime) -> Result<SensorSample, Infallible> {
-        Ok(self
-            .drivers
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("no driver for {id}"))
-            .read(t))
+        let slot = usize::from(id.slot());
+        let seq = self.seq[slot];
+        self.seq[slot] += 1;
+        let scalar = |x: f64| SampleValue::Scalar(quantize(x));
+        let value = match id {
+            SensorId::S1 => scalar(self.env[0].sample_scalar(t)),
+            SensorId::S2 => scalar(self.env[1].sample_scalar(t)),
+            SensorId::S3 => {
+                // Scans cycle through the enrolled people; the remainder is
+                // below a `u32` modulus, so the cast is exact.
+                let person = (seq % u64::from(self.config.enrolled_people.max(1))) as u32;
+                SampleValue::Bytes(self.scanner.scan(person).encode())
+            }
+            SensorId::S4 => {
+                // Gait and seismic motion superimposed on one device.
+                let g = self.gait.sample_triple(t);
+                let s = self.seismic.value_at(t);
+                SampleValue::Triple([
+                    quantize(g[0] + s[0]),
+                    quantize(g[1] + s[1]),
+                    quantize(g[2] + (s[2] - GRAVITY)),
+                ])
+            }
+            SensorId::S5 => scalar(self.env[2].sample_scalar(t)),
+            SensorId::S6 => scalar(self.ecg.value_at(t)),
+            SensorId::S7 => scalar(self.env[3].sample_scalar(t)),
+            SensorId::S8 => scalar(self.audio.value_at(t)),
+            SensorId::S9 => scalar(self.env[4].sample_scalar(t)),
+            SensorId::S10 | SensorId::S10Hi => SampleValue::Bytes(self.camera.frame(seq).pixels),
+        };
+        Ok(SensorSample {
+            sensor: id,
+            seq,
+            acquired_at: t,
+            value,
+        })
     }
 
     /// Ground truth: steps walked in `[from, to)`.
     #[must_use]
     pub fn true_steps_between(&self, from: SimTime, to: SimTime) -> u64 {
-        self.gait.borrow().true_steps_between(from, to)
+        self.gait.true_steps_between(from, to)
     }
 
     /// Ground truth: is an earthquake happening at `t`?
     #[must_use]
     pub fn true_quake_at(&self, t: SimTime) -> bool {
-        self.seismic.borrow().true_quake_at(t)
+        self.seismic.true_quake_at(t)
     }
 
     /// Ground truth: quake onsets in `[from, to)`.
     #[must_use]
     pub fn true_quake_onsets_between(&self, from: SimTime, to: SimTime) -> usize {
-        self.seismic.borrow().true_onsets_between(from, to)
+        self.seismic.true_onsets_between(from, to)
     }
 
     /// Ground truth: total and premature beats in `[from, to)`.
     #[must_use]
     pub fn true_beats_between(&self, from: SimTime, to: SimTime) -> (usize, usize) {
-        let e = self.ecg.borrow();
         (
-            e.true_beats_between(from, to),
-            e.true_irregular_between(from, to),
+            self.ecg.true_beats_between(from, to),
+            self.ecg.true_irregular_between(from, to),
         )
     }
 
     /// Ground truth: the word spoken at `t`, if any.
     #[must_use]
     pub fn true_word_at(&self, t: SimTime) -> Option<usize> {
-        self.audio.borrow().true_word_at(t)
+        self.audio.true_word_at(t)
     }
 }
 
@@ -406,6 +342,21 @@ mod tests {
             w.true_quake_onsets_between(SimTime::ZERO, SimTime::from_secs(60)),
             0
         );
+    }
+
+    #[test]
+    fn s10_hi_reads_the_shared_camera_slot() {
+        // S10Hi is S10's row: it reads the same camera and advances the
+        // same slot's sequence number, so frames never repeat between them.
+        let mut w = world();
+        let Ok(lo) = w.read(SensorId::S10, SimTime::ZERO);
+        let Ok(hi) = w.read(SensorId::S10Hi, SimTime::from_secs(1));
+        assert_eq!((lo.seq, hi.seq), (0, 1));
+        assert_eq!(hi.sensor, SensorId::S10Hi);
+        let mut cam = ImageGenerator::new(&SeedTree::new(1), LOW_RES.0, LOW_RES.1);
+        assert_eq!(hi.value.as_bytes(), Some(&cam.frame(1).pixels[..]));
+        let Ok(next) = w.read(SensorId::S10, SimTime::from_secs(2));
+        assert_eq!(next.seq, 2);
     }
 
     #[test]

@@ -131,8 +131,8 @@ const FIELDS_INLINE: usize = 3;
 /// Padding for unused inline slots (the disabled-intern sentinel label).
 const FIELD_PAD: (Label, FieldValue) = (Label(u32::MAX), FieldValue::U64(0));
 
-/// A span/event field list with inline storage for up to [`FIELDS_INLINE`]
-/// pairs; longer lists spill to the heap. Dereferences to a
+/// A span/event field list with inline storage for up to `FIELDS_INLINE`
+/// (three) pairs; longer lists spill to the heap. Dereferences to a
 /// `[(Label, FieldValue)]` slice, so consumers iterate and index it like
 /// the `Vec` it replaced.
 #[derive(Debug, Clone)]

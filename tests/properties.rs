@@ -617,6 +617,241 @@ fn chunking_partitions_any_input() {
     });
 }
 
+// ------------------------------------------------------------ sensors ----
+
+/// The sensor layer as it was before the world owned each generator once:
+/// one boxed [`SignalSource`] per sensor behind a `BTreeMap`, closures over
+/// `Rc<RefCell<…>>`-shared generators, and a driver that quantizes by
+/// payload kind and keeps its own sequence number. The oracle every
+/// [`PhysicalWorld::read`] below is checked against.
+mod old_sensor_path {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    use std::rc::Rc;
+
+    use iotse::sensors::catalog;
+    use iotse::sensors::reading::{SampleValue, SensorSample};
+    use iotse::sensors::signal::audio::AudioGenerator;
+    use iotse::sensors::signal::ecg::EcgGenerator;
+    use iotse::sensors::signal::environment::{EnvironmentGenerator, Quantity};
+    use iotse::sensors::signal::fingerprint::FingerprintScanner;
+    use iotse::sensors::signal::gait::{GaitGenerator, GRAVITY};
+    use iotse::sensors::signal::image::{ImageGenerator, LOW_RES};
+    use iotse::sensors::signal::seismic::SeismicGenerator;
+    use iotse::sensors::spec::{PayloadKind, SensorSpec};
+    use iotse::sensors::{SensorId, WorldConfig};
+    use iotse::sim::rng::SeedTree;
+    use iotse::sim::time::SimTime;
+
+    pub trait SignalSource {
+        fn sample(&mut self, t: SimTime) -> SampleValue;
+    }
+
+    struct FnSource<F: FnMut(SimTime) -> SampleValue>(F);
+
+    impl<F: FnMut(SimTime) -> SampleValue> SignalSource for FnSource<F> {
+        fn sample(&mut self, t: SimTime) -> SampleValue {
+            (self.0)(t)
+        }
+    }
+
+    fn through_register(x: f64) -> f64 {
+        let counts = (x * 1e4).round();
+        let counts = counts.clamp(f64::from(i32::MIN), f64::from(i32::MAX));
+        counts / 1e4
+    }
+
+    pub struct SensorDriver {
+        spec: SensorSpec,
+        source: Box<dyn SignalSource>,
+        seq: u64,
+    }
+
+    impl SensorDriver {
+        pub fn read(&mut self, t: SimTime) -> SensorSample {
+            let value = match (self.source.sample(t), self.spec.payload) {
+                (SampleValue::Scalar(x), PayloadKind::Int | PayloadKind::Double) => {
+                    SampleValue::Scalar(through_register(x))
+                }
+                (SampleValue::Triple(v), _) => SampleValue::Triple(v.map(through_register)),
+                (other, _) => other,
+            };
+            let sample = SensorSample {
+                sensor: self.spec.id,
+                seq: self.seq,
+                acquired_at: t,
+                value,
+            };
+            self.seq += 1;
+            sample
+        }
+    }
+
+    /// The driver map, built in the old world's generator order.
+    pub fn drivers(seeds: &SeedTree, config: &WorldConfig) -> BTreeMap<SensorId, SensorDriver> {
+        let gait = Rc::new(RefCell::new(GaitGenerator::new(seeds, config.gait)));
+        let seismic = Rc::new(RefCell::new(SeismicGenerator::new(
+            seeds,
+            0.02,
+            config.quakes.clone(),
+        )));
+        let ecg = Rc::new(RefCell::new(EcgGenerator::new(
+            seeds,
+            config.ecg,
+            config.horizon,
+        )));
+        let audio = Rc::new(RefCell::new(AudioGenerator::new(
+            seeds,
+            config.utterance_count,
+            config.horizon,
+        )));
+        let camera = Rc::new(RefCell::new(ImageGenerator::new(
+            seeds, LOW_RES.0, LOW_RES.1,
+        )));
+        let scanner = Rc::new(RefCell::new(FingerprintScanner::new(seeds)));
+
+        let mut drivers = BTreeMap::new();
+        let mut add = |id: SensorId, source: Box<dyn SignalSource>| {
+            let spec = catalog::spec(id);
+            drivers.insert(
+                id,
+                SensorDriver {
+                    spec,
+                    source,
+                    seq: 0,
+                },
+            );
+        };
+        for (id, q) in [
+            (SensorId::S1, Quantity::PressureHpa),
+            (SensorId::S2, Quantity::TemperatureC),
+            (SensorId::S5, Quantity::AirQuality),
+            (SensorId::S7, Quantity::LightLux),
+            (SensorId::S9, Quantity::DistanceM),
+        ] {
+            let mut env = EnvironmentGenerator::new(seeds, q);
+            add(
+                id,
+                Box::new(FnSource(move |t| SampleValue::Scalar(env.sample_scalar(t)))),
+            );
+        }
+        add(
+            SensorId::S4,
+            Box::new(FnSource(move |t| {
+                let g = gait.borrow_mut().sample_triple(t);
+                let s = seismic.borrow().value_at(t);
+                SampleValue::Triple([g[0] + s[0], g[1] + s[1], g[2] + (s[2] - GRAVITY)])
+            })),
+        );
+        add(
+            SensorId::S6,
+            Box::new(FnSource(move |t| {
+                SampleValue::Scalar(ecg.borrow().value_at(t))
+            })),
+        );
+        add(
+            SensorId::S8,
+            Box::new(FnSource(move |t| {
+                SampleValue::Scalar(audio.borrow().value_at(t))
+            })),
+        );
+        let people = config.enrolled_people.max(1);
+        let mut scan_seq = 0u32;
+        add(
+            SensorId::S3,
+            Box::new(FnSource(move |_t| {
+                let person = scan_seq % people;
+                scan_seq += 1;
+                SampleValue::Bytes(scanner.borrow_mut().scan(person).encode())
+            })),
+        );
+        let mut frame_seq = 0u64;
+        add(
+            SensorId::S10,
+            Box::new(FnSource(move |_t| {
+                let frame = camera.borrow_mut().frame(frame_seq);
+                frame_seq += 1;
+                SampleValue::Bytes(frame.pixels)
+            })),
+        );
+        drivers
+    }
+}
+
+/// A sample's value down to the bit, so `-0.0` and NaN payloads compare
+/// exactly.
+#[derive(Debug, PartialEq)]
+enum ValueBits<'a> {
+    Scalar(u64),
+    Triple([u64; 3]),
+    Bytes(&'a [u8]),
+}
+
+fn value_bits(v: &iotse::sensors::SampleValue) -> ValueBits<'_> {
+    use iotse::sensors::SampleValue;
+    match v {
+        SampleValue::Scalar(x) => ValueBits::Scalar(x.to_bits()),
+        SampleValue::Triple(a) => ValueBits::Triple(a.map(f64::to_bits)),
+        SampleValue::Bytes(b) => ValueBits::Bytes(b),
+    }
+}
+
+/// The flattened world reads exactly like the old driver map: for any
+/// seed, any world config (quakes on or off, one or four enrolled people)
+/// and any interleaving of all ten sensors at non-decreasing times, every
+/// sample has the same sensor, sequence number, instant and value bits.
+#[test]
+fn physical_world_matches_the_old_driver_path() {
+    use iotse::sensors::signal::seismic::Quake;
+
+    forall(40, |case, rng| {
+        let seeds = SeedTree::new(rng.gen_range(0..10_000u64));
+        // Up to two quakes, back to back or apart (they may not overlap).
+        let mut onset = SimTime::ZERO;
+        let quakes = (0..rng.gen_range(0..3u32))
+            .map(|_| {
+                let q = Quake {
+                    onset: onset + SimDuration::from_millis(rng.gen_range(0..3_000u64)),
+                    duration: SimDuration::from_millis(rng.gen_range(100..2_000u64)),
+                    peak: rng.gen_range(1.0..9.0),
+                };
+                onset = q.onset + q.duration;
+                q
+            })
+            .collect();
+        let config = WorldConfig {
+            quakes,
+            enrolled_people: if rng.gen_bool(0.5) { 1 } else { 4 },
+            ..WorldConfig::default()
+        };
+        let mut oracle = old_sensor_path::drivers(&seeds, &config);
+        let mut world = PhysicalWorld::new(&seeds, config);
+        let mut t = SimTime::ZERO;
+        for _ in 0..rng.gen_range(50..200u32) {
+            // Ties, sub-millisecond steps and jumps of up to a second.
+            t += match rng.gen_range(0..4u32) {
+                0 => SimDuration::ZERO,
+                1 => SimDuration::from_micros(rng.gen_range(1..1_000u64)),
+                2 => SimDuration::from_millis(rng.gen_range(1..20u64)),
+                _ => SimDuration::from_millis(rng.gen_range(20..1_000u64)),
+            };
+            let id = SensorId::ALL[rng.gen_range(0..10usize)];
+            let want = oracle.get_mut(&id).expect("ten drivers").read(t);
+            let Ok(got) = world.read(id, t);
+            assert_eq!(
+                (got.sensor, got.seq, got.acquired_at),
+                (want.sensor, want.seq, want.acquired_at),
+                "case {case}: {id} at {t}"
+            );
+            assert_eq!(
+                value_bits(&got.value),
+                value_bits(&want.value),
+                "case {case}: {id} at {t}"
+            );
+        }
+    });
+}
+
 // ----------------------------------------------------------- platform ----
 
 /// Whatever the seed and scheme, an instrumented run's span tree is
