@@ -21,7 +21,7 @@ use iotse_core::{Calibration, RunResult, Telemetry};
 use iotse_energy::attribution::Routine;
 use iotse_energy::stacks::stack_series_name;
 use iotse_sim::metrics::MetricsReport;
-use iotse_sim::trace::{FieldValue, Label};
+use iotse_sim::trace::{FieldValue, Fields};
 
 /// The short routine key used in exported labels (`interrupt`,
 /// `app_compute`, …) — the series name minus its crate prefix and unit
@@ -55,6 +55,24 @@ fn json_escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// Appends `v` in decimal, digit by digit, without going through
+/// `core::fmt`.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
+}
+
 /// Appends simulated nanoseconds as trace-event microseconds with three
 /// decimals: the integer `ns / 1000`, a `.`, then `ns % 1000` padded to
 /// three digits.
@@ -66,27 +84,38 @@ fn json_escape_into(out: &mut String, s: &str) {
 /// recovers it. Above it the quotient can be off by almost a whole
 /// nanosecond, and the float form may misprint the last digit.
 fn write_micros(out: &mut String, ns: u64) {
-    let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
+    write_u64(out, ns / 1000);
+    out.push('.');
+    let frac = ns % 1000;
+    for d in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from(b'0' + d as u8));
+    }
 }
 
 /// Appends one typed field value as a JSON value.
 fn write_field_value(out: &mut String, result: &RunResult, value: FieldValue) {
-    let _ = match value {
-        FieldValue::U64(v) => write!(out, "{v}"),
-        FieldValue::I64(v) => write!(out, "{v}"),
+    match value {
+        FieldValue::U64(v) => write_u64(out, v),
+        FieldValue::I64(v) => {
+            if v < 0 {
+                out.push('-');
+            }
+            write_u64(out, v.unsigned_abs());
+        }
         FieldValue::Str(l) => {
             out.push('"');
             json_escape_into(out, result.trace.label(l));
             out.push('"');
-            Ok(())
         }
-        FieldValue::Time(t) => write!(out, "\"{t}\""),
-    };
+        FieldValue::Time(t) => {
+            let _ = write!(out, "\"{t}\"");
+        }
+    }
 }
 
 /// Appends `,"name":value` for every typed field of a span or event.
-fn write_fields(out: &mut String, result: &RunResult, fields: &[(Label, FieldValue)]) {
-    for &(name, value) in fields {
+fn write_fields(out: &mut String, result: &RunResult, fields: Fields) {
+    for &(name, value) in result.trace.fields(fields) {
         out.push_str(",\"");
         json_escape_into(out, result.trace.label(name));
         out.push_str("\":");
@@ -146,7 +175,9 @@ pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
         let exit = span.exit.unwrap_or(span.enter);
         out.push_str(",\n{\"name\":\"");
         json_escape_into(&mut out, trace.label(span.label));
-        let _ = write!(out, "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":", span.kind);
+        out.push_str("\",\"cat\":\"");
+        out.push_str(span.kind.as_str());
+        out.push_str("\",\"ph\":\"X\",\"ts\":");
         write_micros(&mut out, span.enter.as_nanos());
         out.push_str(",\"dur\":");
         write_micros(&mut out, exit.as_nanos() - span.enter.as_nanos());
@@ -155,21 +186,22 @@ pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
             ",\"pid\":1,\"tid\":1,\"args\":{{\"energy_self_uj\":{:.3}",
             span.weight
         );
-        write_fields(&mut out, result, &span.fields);
+        write_fields(&mut out, result, span.fields);
         out.push_str("}}");
     }
 
     for event in trace.events() {
-        let kind = event.kind;
-        let _ = write!(
-            out,
-            ",\n{{\"name\":\"{kind}\",\"cat\":\"{kind}\",\"ph\":\"i\",\"ts\":"
-        );
+        let kind = event.kind.as_str();
+        out.push_str(",\n{\"name\":\"");
+        out.push_str(kind);
+        out.push_str("\",\"cat\":\"");
+        out.push_str(kind);
+        out.push_str("\",\"ph\":\"i\",\"ts\":");
         write_micros(&mut out, event.time.as_nanos());
         out.push_str(",\"s\":\"t\",\"pid\":1,\"tid\":1,\"args\":{\"source\":\"");
         json_escape_into(&mut out, trace.label(event.source));
         out.push('"');
-        write_fields(&mut out, result, &event.fields);
+        write_fields(&mut out, result, event.fields);
         out.push_str("}}");
     }
 
@@ -461,6 +493,15 @@ mod tests {
         let mut out = String::new();
         write_micros(&mut out, ns);
         out
+    }
+
+    #[test]
+    fn integers_print_as_display_does() {
+        for v in [0, 7, 10, 99, 1_000, 123_456_789, u64::MAX] {
+            let mut out = String::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     /// Below this many nanoseconds (2^43 µs, about 101.8 simulated days)

@@ -164,6 +164,22 @@ impl CpuAccount {
         self.timeline.as_deref()
     }
 
+    /// Makes room for `segments` more timeline entries, if the timeline
+    /// is enabled.
+    pub fn reserve_timeline(&mut self, segments: usize) {
+        if let Some(tl) = &mut self.timeline {
+            tl.reserve_exact(segments);
+        }
+    }
+
+    /// Hands over the recorded timeline, if enabled, trimmed to its length;
+    /// recording stops.
+    pub fn take_timeline(&mut self) -> Option<Vec<(SimTime, CpuPhase)>> {
+        let mut tl = self.timeline.take()?;
+        tl.shrink_to_fit();
+        Some(tl)
+    }
+
     fn record(&mut self, at: SimTime, phase: CpuPhase) {
         if let Some(tl) = &mut self.timeline {
             if tl.last().map(|&(_, p)| p) != Some(phase) {

@@ -214,10 +214,10 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if a workload requests a sampling rate above its sensor's
-    /// Table I maximum, periodic sampling from an on-demand sensor, or a
-    /// sensor with no scenario driver ([`SensorId::S10Hi`], the high-res
-    /// image variant); or if the [`Calibration`] is internally
-    /// inconsistent.
+    /// Table I maximum, periodic sampling from an on-demand sensor, or the
+    /// high-res image variant [`SensorId::S10Hi`], which has no frame model
+    /// of its own (the world would read it from S10's low-res camera); or
+    /// if the [`Calibration`] is internally inconsistent.
     #[must_use]
     pub fn run(self) -> RunResult {
         let (scheme, seed, windows) = (self.scheme, self.seed, self.windows);
@@ -283,7 +283,7 @@ fn validate_rates(app: &dyn Workload) {
     for u in app.sensors() {
         assert!(
             SensorId::ALL.contains(&u.sensor),
-            "{} samples {}, which has no scenario driver",
+            "{} samples {}, which has no hi-res frame model",
             app.name(),
             u.sensor
         );
@@ -319,10 +319,12 @@ fn tick_trampoline(exec: &mut Exec, eng: &mut Engine<Exec>, group_idx: u64, wind
 fn storm_trampoline(exec: &mut Exec, eng: &mut Engine<Exec>, _a: u64, _b: u64) {
     let now = eng.now();
     let handled = exec.interrupt(now);
-    exec.trace
-        .record_with(handled, TraceKind::Interrupt, "mcu", || {
-            "fault: spurious interrupt".to_string()
-        });
+    exec.trace.record(
+        handled,
+        TraceKind::Interrupt,
+        "mcu",
+        "fault: spurious interrupt",
+    );
     if let Some(plan) = &mut exec.faults {
         plan.note_storm_interrupt();
     }
@@ -368,6 +370,58 @@ fn build_groups(apps: &[AppRt], scheme: Scheme) -> Vec<Group> {
         }
     }
     groups
+}
+
+/// What a run's recorders are expected to hold, estimated from its tick
+/// schedule (windows × samples per window, per group) so that
+/// [`Exec::new`] reserves the trace and the CPU/MCU timelines once instead
+/// of letting them regrow. Fault records (dropouts, retries, spurious
+/// interrupts) are not counted, so a faulted run may regrow an array once;
+/// [`Exec::into_result`] trims the slack either way.
+struct RecordingSize {
+    spans: usize,
+    events: usize,
+    fields: usize,
+    cpu_segments: usize,
+    mcu_segments: usize,
+}
+
+impl RecordingSize {
+    fn of(groups: &[Group], apps: &[AppRt], windows: u32) -> RecordingSize {
+        // Each app window completes with at most a flush, an interrupt, a
+        // transfer and a compute span, four events (interrupt, transfer,
+        // `batching` or `com`, QoS), six fields and about four phase
+        // changes on each processor; the run adds its root and close spans.
+        let app_windows = apps.len() * windows as usize;
+        let mut size = RecordingSize {
+            spans: 2 + 4 * app_windows,
+            events: 4 * app_windows,
+            fields: 6 * app_windows,
+            cpu_segments: 4 * app_windows,
+            mcu_segments: 4 * app_windows,
+        };
+        for g in groups {
+            let ticks = windows as usize * g.samples_per_window as usize;
+            // Every tick records its tick and collect spans, the read event
+            // and four fields (the tick's sensor and window, the read's
+            // sensor and bytes). A per-sample tick adds an interrupt and a
+            // transfer span, their two events and two `bytes` fields, and
+            // moves the CPU through about two phases and the MCU three; a
+            // buffered or offloaded tick moves only the MCU, about once.
+            let per_sample = apps[g.members[0]].flow == AppFlow::PerSample;
+            let (spans, events, fields, cpu, mcu) = if per_sample {
+                (4, 3, 6, 2, 3)
+            } else {
+                (2, 1, 4, 0, 1)
+            };
+            size.spans += spans * ticks;
+            size.events += events * ticks;
+            size.fields += fields * ticks;
+            size.cpu_segments += cpu * ticks;
+            size.mcu_segments += mcu * ticks;
+        }
+        size
+    }
 }
 
 /// Per-app runtime state.
@@ -602,6 +656,10 @@ impl Exec {
 
         // Tick groups: BEAM merges same-rate shared sensors.
         exec.groups = build_groups(&exec.apps, s.scheme);
+        let size = RecordingSize::of(&exec.groups, &exec.apps, s.windows);
+        exec.trace.reserve(size.spans, size.events, size.fields);
+        exec.cpu.reserve_timeline(size.cpu_segments);
+        exec.mcu.reserve_timeline(size.mcu_segments);
         if exec.trace.is_enabled() {
             for gi in 0..exec.groups.len() {
                 let name = exec.groups[gi].sensor.to_string();
@@ -709,6 +767,7 @@ impl Exec {
             .metrics
             .take()
             .map(|m| m.into_report(&self, &apps, telemetry.as_ref()));
+        self.trace.shrink_to_fit();
         RunResult {
             scheme,
             seed,
@@ -725,8 +784,8 @@ impl Exec {
                 .map(FaultPlan::stats)
                 .unwrap_or_default(),
             apps,
-            cpu_timeline: self.cpu.timeline().map(<[_]>::to_vec),
-            mcu_timeline: self.mcu.timeline().map(<[_]>::to_vec),
+            cpu_timeline: self.cpu.take_timeline(),
+            mcu_timeline: self.mcu.take_timeline(),
             spans: self.trace.summary(),
             metrics,
             telemetry,
@@ -1045,11 +1104,12 @@ impl Exec {
         let mut wire_bytes = bytes;
         if let Some(plan) = &mut self.faults {
             if let Some(release) = plan.partition_release(ready) {
-                self.trace
-                    .record_with(ready, TraceKind::DataTransfer, "link", || {
-                        // lint: formats only when a trace sink is live
-                        "fault: link partition".to_string()
-                    });
+                self.trace.record(
+                    ready,
+                    TraceKind::DataTransfer,
+                    "link",
+                    "fault: link partition",
+                );
                 ready = release;
             }
             wire_bytes += plan.corrupted_bytes(ready, bytes as u64) as usize;
@@ -1570,7 +1630,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fake samples S10(hi), which has no scenario driver")]
+    #[should_panic(expected = "fake samples S10(hi), which has no hi-res frame model")]
     fn a_sensor_without_a_driver_is_rejected_at_setup() {
         let mut hi_res = Fake::stepish(AppId::A10);
         hi_res.sensors = vec![crate::workload::SensorUsage::on_demand(SensorId::S10Hi)];

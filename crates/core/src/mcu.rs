@@ -142,6 +142,22 @@ impl McuAccount {
         self.timeline.as_deref()
     }
 
+    /// Makes room for `segments` more timeline entries, if the timeline
+    /// is enabled.
+    pub fn reserve_timeline(&mut self, segments: usize) {
+        if let Some(tl) = &mut self.timeline {
+            tl.reserve_exact(segments);
+        }
+    }
+
+    /// Hands over the recorded timeline, if enabled, trimmed to its length;
+    /// recording stops.
+    pub fn take_timeline(&mut self) -> Option<Vec<(SimTime, McuPhase)>> {
+        let mut tl = self.timeline.take()?;
+        tl.shrink_to_fit();
+        Some(tl)
+    }
+
     // ---- memory management -------------------------------------------------
 
     /// Bytes of RAM not yet reserved or buffered.

@@ -14,19 +14,27 @@
 //!    `enabled` before doing *any* work — no interning, no allocation, no
 //!    formatting. Callers pass `&'static str` labels and stack-allocated
 //!    field slices, so a disabled log costs one branch per call.
-//! 2. **No per-entry heap formatting when enabled.** Labels and field names
-//!    are interned once into a [`Label`] table; values are typed
-//!    [`FieldValue`]s, not preformatted `String`s. Rendering happens only
-//!    at export time.
+//! 2. **Flat storage, no per-entry heap work when enabled.** A log keeps
+//!    three growable arrays — spans, events and one field arena they share
+//!    — plus its label table. A [`Span`] (56 bytes) and a [`TraceEvent`]
+//!    (32 bytes) hold plain data and a [`Fields`] range into the arena, so
+//!    recording one only appends. The arrays grow by doubling unless
+//!    [`TraceLog::reserve`] sized them up front, and
+//!    [`TraceLog::shrink_to_fit`] drops the slack once recording ends.
+//!    Labels and field names are interned into a [`Label`] through an
+//!    open-addressed FNV-1a index, so a string allocates once, the first
+//!    time it is seen; values are typed [`FieldValue`]s, not preformatted
+//!    `String`s. Rendering happens only at export time.
 //! 3. **Determinism.** The log is plain data driven by the simulation
-//!    clock; two identical runs produce bitwise-identical logs.
+//!    clock; two identical runs produce bitwise-identical logs. Labels are
+//!    numbered in first-use order, and the intern index is only probed,
+//!    never iterated.
 //!
 //! The `record(time, kind, source, detail)` API records a [`TraceEvent`]
 //! whose detail string is interned as a single `msg` field;
 //! [`TraceLog::detail`] and [`TraceLog::label`] render any event back to
 //! text at export time.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimTime;
@@ -51,9 +59,12 @@ pub enum TraceKind {
     Qos,
 }
 
-impl fmt::Display for TraceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl TraceKind {
+    /// The kind's display name (`"sensor-read"`, `"interrupt"`, …), which
+    /// exporters write as the entry's category.
+    #[must_use]
+    pub const fn as_str(self) -> &'static str {
+        match self {
             TraceKind::SensorRead => "sensor-read",
             TraceKind::Interrupt => "interrupt",
             TraceKind::DataTransfer => "data-transfer",
@@ -61,8 +72,13 @@ impl fmt::Display for TraceKind {
             TraceKind::PowerState => "power-state",
             TraceKind::Scheme => "scheme",
             TraceKind::Qos => "qos",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TraceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -122,105 +138,29 @@ impl FieldValue {
     }
 }
 
-/// Inline capacity of a [`FieldList`]. The widest field set any recorder
-/// attaches (the QoS event's result/window/deadline triple) fits here, so
-/// steady-state tracing allocates for label interning only — once per
-/// distinct string, never per span or event.
-const FIELDS_INLINE: usize = 3;
-
-/// Padding for unused inline slots (the disabled-intern sentinel label).
-const FIELD_PAD: (Label, FieldValue) = (Label(u32::MAX), FieldValue::U64(0));
-
-/// A span/event field list with inline storage for up to `FIELDS_INLINE`
-/// (three) pairs; longer lists spill to the heap. Dereferences to a
-/// `[(Label, FieldValue)]` slice, so consumers iterate and index it like
-/// the `Vec` it replaced.
-#[derive(Debug, Clone)]
-pub struct FieldList(FieldStore);
-
-#[derive(Debug, Clone)]
-enum FieldStore {
-    /// `len` live pairs; slots past `len` hold [`FIELD_PAD`].
-    Inline {
-        len: u8,
-        buf: [(Label, FieldValue); FIELDS_INLINE],
-    },
-    /// Spilled storage for lists longer than [`FIELDS_INLINE`].
-    Heap(Vec<(Label, FieldValue)>),
+/// Where one span's or event's typed fields sit in its log's field arena:
+/// a run of `len` pairs from `start`. Resolve it with [`TraceLog::fields`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Fields {
+    start: u32,
+    len: u32,
 }
 
-impl FieldList {
-    /// An empty list (allocation-free).
+impl Fields {
+    /// Number of fields attached.
     #[must_use]
-    pub fn new() -> Self {
-        FieldList(FieldStore::Inline {
-            len: 0,
-            buf: [FIELD_PAD; FIELDS_INLINE],
-        })
+    pub fn len(self) -> usize {
+        self.len as usize
     }
 
-    /// Appends a pair, spilling to the heap past the inline capacity.
-    pub fn push(&mut self, pair: (Label, FieldValue)) {
-        match &mut self.0 {
-            FieldStore::Inline { len, buf } => {
-                if (*len as usize) < FIELDS_INLINE {
-                    buf[*len as usize] = pair;
-                    *len += 1;
-                } else {
-                    // lint: cold spill past the inline capacity (> FIELDS_INLINE pairs)
-                    let mut spilled = buf.to_vec();
-                    spilled.push(pair);
-                    self.0 = FieldStore::Heap(spilled);
-                }
-            }
-            FieldStore::Heap(v) => v.push(pair),
-        }
-    }
-
-    /// The live pairs as a slice.
+    /// `true` if nothing is attached.
     #[must_use]
-    pub fn as_slice(&self) -> &[(Label, FieldValue)] {
-        match &self.0 {
-            FieldStore::Inline { len, buf } => &buf[..*len as usize],
-            FieldStore::Heap(v) => v,
-        }
+    pub fn is_empty(self) -> bool {
+        self.len == 0
     }
-}
 
-impl Default for FieldList {
-    fn default() -> Self {
-        FieldList::new()
-    }
-}
-
-impl std::ops::Deref for FieldList {
-    type Target = [(Label, FieldValue)];
-    fn deref(&self) -> &Self::Target {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for FieldList {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl FromIterator<(Label, FieldValue)> for FieldList {
-    fn from_iter<I: IntoIterator<Item = (Label, FieldValue)>>(iter: I) -> Self {
-        let mut list = FieldList::new();
-        for pair in iter {
-            list.push(pair);
-        }
-        list
-    }
-}
-
-impl<'a> IntoIterator for &'a FieldList {
-    type Item = &'a (Label, FieldValue);
-    type IntoIter = std::slice::Iter<'a, (Label, FieldValue)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
     }
 }
 
@@ -241,8 +181,8 @@ pub struct Span {
     /// charges **microjoules** of ledger energy here, so folding weights up
     /// the tree reproduces `EnergyLedger::total()` exactly.
     pub weight: f64,
-    /// Typed key/value attachments.
-    pub fields: FieldList,
+    /// Typed key/value attachments, read through [`TraceLog::fields`].
+    pub fields: Fields,
 }
 
 /// One point-in-time event, attached to the innermost open span.
@@ -256,8 +196,8 @@ pub struct TraceEvent {
     pub span: Option<SpanId>,
     /// Which component reported it (interned; e.g. `"mcu"`, `"link"`).
     pub source: Label,
-    /// Typed key/value attachments.
-    pub fields: FieldList,
+    /// Typed key/value attachments, read through [`TraceLog::fields`].
+    pub fields: Fields,
 }
 
 /// Aggregate shape of a recorded span tree — cheap to compare and to carry
@@ -274,24 +214,67 @@ pub struct SpanSummary {
     pub total_weight: f64,
 }
 
-/// The interned-string table.
+/// A free slot of the intern index.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// The intern index's first size; it doubles whenever it would pass half
+/// full.
+const INDEX_MIN: usize = 64;
+
+/// 64-bit FNV-1a over the string's bytes: the intern index's hash.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The interned-string table: each label's one owned copy, numbered in
+/// first-use order, and an open-addressed index over their FNV-1a hashes
+/// that maps a string to its number.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct LabelTable {
     strings: Vec<String>,
-    index: BTreeMap<String, u32>,
+    /// Linear-probed slots holding label numbers, or [`EMPTY_SLOT`]. Its
+    /// length is zero or a power of two, and it is at most half full.
+    index: Box<[u32]>,
 }
 
 impl LabelTable {
-    fn intern(&mut self, s: &str) -> Label {
-        if let Some(&i) = self.index.get(s) {
-            return Label(i);
+    /// The slot that holds `s`, or the free slot where it belongs.
+    fn probe(&self, s: &str) -> usize {
+        let mask = self.index.len() - 1;
+        let mut slot = fnv1a(s) as usize & mask;
+        loop {
+            let i = self.index[slot];
+            if i == EMPTY_SLOT || self.strings[i as usize] == s {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
         }
-        let i = self.strings.len() as u32;
-        // lint: interning allocates once per distinct label, then hits the map
-        self.strings.push(s.to_string());
-        // lint: second owned copy keys the lookup map, same once-per-label cost
-        self.index.insert(s.to_string(), i);
-        Label(i)
+    }
+
+    fn intern(&mut self, s: &str) -> Label {
+        if 2 * (self.strings.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        let slot = self.probe(s);
+        if self.index[slot] == EMPTY_SLOT {
+            self.index[slot] = self.strings.len() as u32;
+            // lint: interning allocates once per distinct label, then hits the index
+            self.strings.push(s.to_string());
+        }
+        Label(self.index[slot])
+    }
+
+    /// Doubles the index and re-inserts every label.
+    fn grow(&mut self) {
+        let len = (2 * self.index.len()).max(INDEX_MIN);
+        // lint: the index doubles only as distinct labels pass half its size
+        self.index = vec![EMPTY_SLOT; len].into_boxed_slice();
+        for (i, s) in self.strings.iter().enumerate() {
+            let slot = self.probe(s);
+            self.index[slot] = i as u32;
+        }
     }
 
     fn resolve(&self, label: Label) -> &str {
@@ -325,6 +308,11 @@ impl LabelTable {
 /// assert_eq!(log.spans().len(), 1);
 /// assert_eq!(log.events().len(), 1);
 /// assert_eq!(log.count(TraceKind::Interrupt), 1);
+/// let bytes = log.intern("bytes");
+/// assert_eq!(
+///     log.fields(log.events()[0].fields),
+///     &[(bytes, FieldValue::U64(12))]
+/// );
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
@@ -332,8 +320,12 @@ pub struct TraceLog {
     labels: LabelTable,
     spans: Vec<Span>,
     events: Vec<TraceEvent>,
-    /// Stack of currently-open spans (indices into `spans`).
-    open: Vec<SpanId>,
+    /// The field arena: every span's and event's fields, each entry's as
+    /// one contiguous run that its [`Fields`] names.
+    fields: Vec<(Label, FieldValue)>,
+    /// The innermost open span. Spans close LIFO, so the spans open
+    /// around it are its parent chain.
+    current: Option<SpanId>,
 }
 
 impl TraceLog {
@@ -363,10 +355,37 @@ impl TraceLog {
         self.enabled = enabled;
     }
 
+    /// Makes room for `spans` more spans, `events` more events and
+    /// `fields` more fields, so a recorder that knows its size up front
+    /// fills the log without regrowing it. No-op when disabled.
+    pub fn reserve(&mut self, spans: usize, events: usize, fields: usize) {
+        if !self.enabled {
+            return;
+        }
+        self.spans.reserve_exact(spans);
+        self.events.reserve_exact(events);
+        self.fields.reserve_exact(fields);
+    }
+
+    /// Releases the spare capacity of the span, event and field arrays —
+    /// call it once recording is over, so a kept log holds no growth slack.
+    pub fn shrink_to_fit(&mut self) {
+        self.spans.shrink_to_fit();
+        self.events.shrink_to_fit();
+        self.fields.shrink_to_fit();
+    }
+
     /// Resolves an interned label back to its string.
     #[must_use]
     pub fn label(&self, label: Label) -> &str {
         self.labels.resolve(label)
+    }
+
+    /// The typed fields of a span or event of this log, in the order they
+    /// were attached.
+    #[must_use]
+    pub fn fields(&self, fields: Fields) -> &[(Label, FieldValue)] {
+        &self.fields[fields.range()]
     }
 
     // ------------------------------------------------------------ spans --
@@ -381,15 +400,18 @@ impl TraceLog {
         let label = self.labels.intern(label);
         let id = SpanId(self.spans.len() as u32);
         self.spans.push(Span {
-            parent: self.open.last().copied(),
+            parent: self.current,
             kind,
             label,
             enter: time,
             exit: None,
             weight: 0.0,
-            fields: FieldList::new(),
+            fields: Fields {
+                start: self.fields.len() as u32,
+                len: 0,
+            },
         });
-        self.open.push(id);
+        self.current = Some(id);
         id
     }
 
@@ -405,11 +427,10 @@ impl TraceLog {
             return;
         }
         assert!(
-            self.open.last() == Some(&id),
+            self.current == Some(id),
             "spans must exit LIFO (exiting {id:?}, innermost is {:?})",
-            self.open.last()
+            self.current
         );
-        self.open.pop();
         let span = &mut self.spans[id.0 as usize];
         assert!(
             time >= span.enter,
@@ -417,6 +438,7 @@ impl TraceLog {
             span.enter
         );
         span.exit = Some(time);
+        self.current = span.parent;
     }
 
     /// Adds `weight` to span `id` (the executor charges microjoules of
@@ -434,12 +456,23 @@ impl TraceLog {
     }
 
     /// Attaches a typed field to span `id`. No-op when disabled.
+    ///
+    /// A span's fields stay one run of the arena: if a nested span or an
+    /// event has added fields since this span's last one, the span's run is
+    /// first copied to the arena's end (the old copy is left unused).
     pub fn span_field(&mut self, id: SpanId, name: &str, value: FieldValue) {
         if !self.enabled || id == SpanId::DISABLED {
             return;
         }
         let name = self.labels.intern(name);
-        self.spans[id.0 as usize].fields.push((name, value));
+        let fields = &mut self.spans[id.0 as usize].fields;
+        let run = fields.range();
+        if run.end != self.fields.len() {
+            fields.start = self.fields.len() as u32;
+            self.fields.extend_from_within(run);
+        }
+        self.fields.push((name, value));
+        fields.len += 1;
     }
 
     /// Interns `s` for use in a [`FieldValue::Str`]. Returns a throwaway
@@ -460,7 +493,7 @@ impl TraceLog {
     /// The innermost currently-open span, if any.
     #[must_use]
     pub fn current_span(&self) -> Option<SpanId> {
-        self.open.last().copied()
+        self.current
     }
 
     /// Nesting depth of span `id` (a root has depth 1).
@@ -522,37 +555,22 @@ impl TraceLog {
             return;
         }
         let source = self.labels.intern(source);
-        let fields: FieldList = fields
-            .iter()
-            .map(|&(name, value)| (self.labels.intern(name), value))
-            // lint: runs only when a trace sink is enabled (early return above)
-            .collect();
-        self.events.push(TraceEvent {
-            time,
-            kind,
-            span: self.open.last().copied(),
-            source,
-            fields,
-        });
+        let start = self.fields.len() as u32;
+        for &(name, value) in fields {
+            let name = self.labels.intern(name);
+            self.fields.push((name, value));
+        }
+        self.push_event(time, kind, source, start);
     }
 
-    /// Records an event with a free-text detail if enabled. The detail
-    /// string still allocates when enabled; hot paths should prefer
-    /// [`TraceLog::event`] (typed fields) or [`TraceLog::record_with`]
-    /// (lazy detail).
-    pub fn record(
-        &mut self,
-        time: SimTime,
-        kind: TraceKind,
-        source: impl Into<String>,
-        detail: impl Into<String>,
-    ) {
+    /// Records an event with a free-text detail if enabled. Nothing is
+    /// formatted; a detail seen before is not copied again.
+    pub fn record(&mut self, time: SimTime, kind: TraceKind, source: &str, detail: &str) {
         if !self.enabled {
             return;
         }
-        let detail: String = detail.into();
-        let detail = self.labels.intern(&detail);
-        self.event_with_msg(time, kind, &source.into(), detail);
+        let detail = self.labels.intern(detail);
+        self.event_with_msg(time, kind, source, detail);
     }
 
     /// Records an entry whose detail is built only when the log is enabled
@@ -575,14 +593,23 @@ impl TraceLog {
     fn event_with_msg(&mut self, time: SimTime, kind: TraceKind, source: &str, msg: Label) {
         let source = self.labels.intern(source);
         let name = self.labels.intern("msg");
-        let mut fields = FieldList::new();
-        fields.push((name, FieldValue::Str(msg)));
+        let start = self.fields.len() as u32;
+        self.fields.push((name, FieldValue::Str(msg)));
+        self.push_event(time, kind, source, start);
+    }
+
+    /// Appends an event whose fields are the arena's run from `start` to
+    /// its end.
+    fn push_event(&mut self, time: SimTime, kind: TraceKind, source: Label, start: u32) {
         self.events.push(TraceEvent {
             time,
             kind,
-            span: self.open.last().copied(),
+            span: self.current,
             source,
-            fields,
+            fields: Fields {
+                start,
+                len: self.fields.len() as u32 - start,
+            },
         });
     }
 
@@ -598,7 +625,7 @@ impl TraceLog {
     /// otherwise.
     #[must_use]
     pub fn detail(&self, event: &TraceEvent) -> String {
-        match event.fields.as_slice() {
+        match self.fields(event.fields) {
             [(name, FieldValue::Str(msg))] if self.labels.resolve(*name) == "msg" => {
                 self.labels.resolve(*msg).to_string()
             }
@@ -628,11 +655,13 @@ impl TraceLog {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Drops all spans, events and the open stack (labels stay interned).
+    /// Drops all spans, events and fields, and closes every open span
+    /// without recording an exit (labels stay interned).
     pub fn clear(&mut self) {
         self.spans.clear();
         self.events.clear();
-        self.open.clear();
+        self.fields.clear();
+        self.current = None;
     }
 }
 
@@ -764,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn field_lists_hold_inline_then_spill() {
+    fn wide_field_lists_keep_their_order() {
         let mut log = TraceLog::enabled();
         let span = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_wide");
         for i in 0..5u64 {
@@ -772,17 +801,55 @@ mod tests {
         }
         log.exit_span(span, SimTime::ZERO);
         let k = log.intern("k");
-        let fields = &log.spans()[0].fields;
+        let fields = log.fields(log.spans()[0].fields);
         assert_eq!(fields.len(), 5);
         for (i, &(name, value)) in fields.iter().enumerate() {
             assert_eq!(name, k);
             assert_eq!(value, FieldValue::U64(i as u64));
         }
-        // Equality is by contents, inline or spilled.
-        let a: FieldList = (0..2u64).map(|i| (k, FieldValue::U64(i))).collect();
-        let b: FieldList = (0..2u64).map(|i| (k, FieldValue::U64(i))).collect();
-        assert_eq!(a, b);
-        assert_ne!(a, FieldList::new());
+    }
+
+    #[test]
+    fn span_fields_added_after_a_nested_entry_move_to_the_arena_end() {
+        let mut log = TraceLog::enabled();
+        let root = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_root");
+        log.span_field(root, "a", FieldValue::U64(1));
+        let child = log.enter_span(SimTime::ZERO, TraceKind::Compute, "iotse_sim_leaf");
+        log.span_field(child, "b", FieldValue::U64(2));
+        log.event(
+            SimTime::ZERO,
+            TraceKind::Qos,
+            "exec",
+            &[("c", FieldValue::U64(3))],
+        );
+        log.span_field(root, "d", FieldValue::I64(-4));
+        log.span_field(child, "e", FieldValue::U64(5));
+        log.exit_span(child, SimTime::ZERO);
+        log.exit_span(root, SimTime::ZERO);
+        let render = |fields: Fields| -> Vec<String> {
+            log.fields(fields)
+                .iter()
+                .map(|&(n, v)| format!("{}={}", log.label(n), v.render(&log.labels)))
+                .collect()
+        };
+        assert_eq!(render(log.spans()[0].fields), ["a=1", "d=-4"]);
+        assert_eq!(render(log.spans()[1].fields), ["b=2", "e=5"]);
+        assert_eq!(log.detail(&log.events()[0]), "c=3");
+    }
+
+    #[test]
+    fn interning_numbers_labels_in_first_use_order() {
+        let mut log = TraceLog::enabled();
+        // Enough distinct labels to grow the index several times.
+        let labels: Vec<Label> = (0..500).map(|i| log.intern(&format!("l{i}"))).collect();
+        for (i, &l) in labels.iter().enumerate() {
+            assert_eq!(l, Label(i as u32));
+            assert_eq!(log.intern(&format!("l{i}")), l);
+            assert_eq!(log.label(l), format!("l{i}"));
+        }
+        assert_eq!(log.intern(""), Label(500));
+        assert_eq!(log.label(Label(500)), "");
+        assert_eq!(log.label(Label(501)), "<unknown-label>");
     }
 
     #[test]
@@ -835,6 +902,7 @@ mod tests {
         log.record(SimTime::ZERO, TraceKind::Qos, "exec", "x");
         log.clear();
         assert!(log.spans().is_empty());
+        assert!(log.fields.is_empty());
         assert!(log.events().is_empty());
         assert!(log.is_enabled());
     }

@@ -18,6 +18,7 @@ use iotse::energy::{EnergyLedger, Power, PowerTrace};
 use iotse::prelude::*;
 use iotse::sim::queue::EventQueue;
 use iotse::sim::rng::SimRng;
+use iotse::sim::trace::{self, TraceKind, TraceLog};
 
 /// Runs `body` over `cases` random cases; the per-case RNG is derived from
 /// the case index so failures name a replayable case number.
@@ -1049,5 +1050,553 @@ fn executor_counters_hold_for_any_seed() {
             com.total_energy() < batching.total_energy(),
             "case {case} seed {seed}"
         );
+    });
+}
+
+// -------------------------------------------------------------- trace ----
+
+/// The trace log as it stood before the field arena: every span and event
+/// owns a `FieldList` (three pairs inline, then a heap spill) and labels
+/// intern through a `BTreeMap<String, u32>` beside a second copy of each
+/// string. Kept as the oracle the arena log is checked against.
+mod old_trace_log {
+    use std::collections::BTreeMap;
+
+    use iotse::sim::time::SimTime;
+    use iotse::sim::trace::TraceKind;
+
+    // `Label` and `FieldValue` share the real types' names and shapes, so
+    // their `Debug` forms compare label numbers across the two logs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub struct Label(u32);
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum FieldValue {
+        U64(u64),
+        I64(i64),
+        Str(Label),
+        Time(SimTime),
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SpanId(pub u32);
+
+    const FIELDS_INLINE: usize = 3;
+    const FIELD_PAD: (Label, FieldValue) = (Label(u32::MAX), FieldValue::U64(0));
+
+    #[derive(Debug, Clone)]
+    pub enum FieldList {
+        Inline {
+            len: u8,
+            buf: [(Label, FieldValue); FIELDS_INLINE],
+        },
+        Heap(Vec<(Label, FieldValue)>),
+    }
+
+    impl FieldList {
+        fn new() -> Self {
+            FieldList::Inline {
+                len: 0,
+                buf: [FIELD_PAD; FIELDS_INLINE],
+            }
+        }
+
+        fn push(&mut self, pair: (Label, FieldValue)) {
+            match self {
+                FieldList::Inline { len, buf } => {
+                    if (*len as usize) < FIELDS_INLINE {
+                        buf[*len as usize] = pair;
+                        *len += 1;
+                    } else {
+                        let mut spilled = buf.to_vec();
+                        spilled.push(pair);
+                        *self = FieldList::Heap(spilled);
+                    }
+                }
+                FieldList::Heap(v) => v.push(pair),
+            }
+        }
+
+        pub fn as_slice(&self) -> &[(Label, FieldValue)] {
+            match self {
+                FieldList::Inline { len, buf } => &buf[..*len as usize],
+                FieldList::Heap(v) => v,
+            }
+        }
+    }
+
+    pub struct Span {
+        pub parent: Option<SpanId>,
+        pub kind: TraceKind,
+        pub label: Label,
+        pub enter: SimTime,
+        pub exit: Option<SimTime>,
+        pub weight: f64,
+        pub fields: FieldList,
+    }
+
+    pub struct TraceEvent {
+        pub time: SimTime,
+        pub kind: TraceKind,
+        pub span: Option<SpanId>,
+        pub source: Label,
+        pub fields: FieldList,
+    }
+
+    #[derive(Default)]
+    pub struct TraceLog {
+        enabled: bool,
+        strings: Vec<String>,
+        index: BTreeMap<String, u32>,
+        pub spans: Vec<Span>,
+        pub events: Vec<TraceEvent>,
+        open: Vec<SpanId>,
+    }
+
+    impl TraceLog {
+        pub fn enabled() -> Self {
+            TraceLog {
+                enabled: true,
+                ..TraceLog::default()
+            }
+        }
+
+        pub fn set_enabled(&mut self, enabled: bool) {
+            self.enabled = enabled;
+        }
+
+        fn intern_label(&mut self, s: &str) -> Label {
+            if let Some(&i) = self.index.get(s) {
+                return Label(i);
+            }
+            let i = self.strings.len() as u32;
+            self.strings.push(s.to_string());
+            self.index.insert(s.to_string(), i);
+            Label(i)
+        }
+
+        pub fn label(&self, label: Label) -> &str {
+            self.strings
+                .get(label.0 as usize)
+                .map_or("<unknown-label>", String::as_str)
+        }
+
+        pub fn enter_span(&mut self, time: SimTime, kind: TraceKind, label: &str) -> SpanId {
+            if !self.enabled {
+                return SpanId(u32::MAX);
+            }
+            let label = self.intern_label(label);
+            let id = SpanId(self.spans.len() as u32);
+            self.spans.push(Span {
+                parent: self.open.last().copied(),
+                kind,
+                label,
+                enter: time,
+                exit: None,
+                weight: 0.0,
+                fields: FieldList::new(),
+            });
+            self.open.push(id);
+            id
+        }
+
+        pub fn exit_span(&mut self, id: SpanId, time: SimTime) {
+            if !self.enabled || id.0 == u32::MAX {
+                return;
+            }
+            assert!(self.open.last() == Some(&id), "spans must exit LIFO");
+            self.open.pop();
+            self.spans[id.0 as usize].exit = Some(time);
+        }
+
+        pub fn charge_span(&mut self, id: SpanId, weight: f64) {
+            if !self.enabled || id.0 == u32::MAX {
+                return;
+            }
+            self.spans[id.0 as usize].weight += weight;
+        }
+
+        pub fn span_field(&mut self, id: SpanId, name: &str, value: FieldValue) {
+            if !self.enabled || id.0 == u32::MAX {
+                return;
+            }
+            let name = self.intern_label(name);
+            self.spans[id.0 as usize].fields.push((name, value));
+        }
+
+        pub fn intern(&mut self, s: &str) -> Label {
+            if !self.enabled {
+                return Label(u32::MAX);
+            }
+            self.intern_label(s)
+        }
+
+        pub fn event(
+            &mut self,
+            time: SimTime,
+            kind: TraceKind,
+            source: &str,
+            fields: &[(&str, FieldValue)],
+        ) {
+            if !self.enabled {
+                return;
+            }
+            let source = self.intern_label(source);
+            let mut list = FieldList::new();
+            for &(name, value) in fields {
+                let name = self.intern_label(name);
+                list.push((name, value));
+            }
+            self.events.push(TraceEvent {
+                time,
+                kind,
+                span: self.open.last().copied(),
+                source,
+                fields: list,
+            });
+        }
+
+        pub fn record(
+            &mut self,
+            time: SimTime,
+            kind: TraceKind,
+            source: impl Into<String>,
+            detail: impl Into<String>,
+        ) {
+            if !self.enabled {
+                return;
+            }
+            let detail: String = detail.into();
+            let detail = self.intern_label(&detail);
+            self.event_with_msg(time, kind, &source.into(), detail);
+        }
+
+        pub fn record_with(
+            &mut self,
+            time: SimTime,
+            kind: TraceKind,
+            source: &str,
+            detail: impl FnOnce() -> String,
+        ) {
+            if !self.enabled {
+                return;
+            }
+            let detail = detail();
+            let detail = self.intern_label(&detail);
+            self.event_with_msg(time, kind, source, detail);
+        }
+
+        fn event_with_msg(&mut self, time: SimTime, kind: TraceKind, source: &str, msg: Label) {
+            let source = self.intern_label(source);
+            let name = self.intern_label("msg");
+            let mut fields = FieldList::new();
+            fields.push((name, FieldValue::Str(msg)));
+            self.events.push(TraceEvent {
+                time,
+                kind,
+                span: self.open.last().copied(),
+                source,
+                fields,
+            });
+        }
+
+        pub fn render(&self, value: FieldValue) -> String {
+            match value {
+                FieldValue::U64(v) => v.to_string(),
+                FieldValue::I64(v) => v.to_string(),
+                FieldValue::Str(l) => self.label(l).to_string(),
+                FieldValue::Time(t) => t.to_string(),
+            }
+        }
+
+        pub fn detail(&self, event: &TraceEvent) -> String {
+            match event.fields.as_slice() {
+                [(name, FieldValue::Str(msg))] if self.label(*name) == "msg" => {
+                    self.label(*msg).to_string()
+                }
+                fields => fields
+                    .iter()
+                    .map(|&(name, value)| format!("{}={}", self.label(name), self.render(value)))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            }
+        }
+
+        fn depth(&self, i: usize) -> usize {
+            let mut depth = 0;
+            let mut cursor = Some(i);
+            while let Some(i) = cursor {
+                depth += 1;
+                cursor = self.spans[i].parent.map(|p| p.0 as usize);
+            }
+            depth
+        }
+
+        /// `(spans, events, max_depth, total_weight)`, as `summary()`.
+        pub fn summary(&self) -> (usize, usize, usize, f64) {
+            let mut max_depth = 0;
+            let mut total_weight = 0.0;
+            for (i, span) in self.spans.iter().enumerate() {
+                max_depth = max_depth.max(self.depth(i));
+                total_weight += span.weight;
+            }
+            (self.spans.len(), self.events.len(), max_depth, total_weight)
+        }
+
+        pub fn clear(&mut self) {
+            self.spans.clear();
+            self.events.clear();
+            self.open.clear();
+        }
+    }
+}
+
+// The arena log's records stay small: a span is 56 bytes, an event 32.
+const _: () = assert!(std::mem::size_of::<iotse::sim::trace::Span>() <= 56);
+const _: () = assert!(std::mem::size_of::<iotse::sim::trace::TraceEvent>() <= 32);
+
+/// A field value drawn for both logs; strings are interned into each.
+#[derive(Clone, Copy)]
+enum ArbValue {
+    U64(u64),
+    I64(i64),
+    Str(&'static str),
+    Time(SimTime),
+}
+
+const TRACE_WORDS: [&str; 9] = [
+    "iotse_sim_a",
+    "iotse_sim_b",
+    "msg",
+    "k",
+    "",
+    "sensor",
+    "a;b",
+    "qu\"ote",
+    "é",
+];
+const TRACE_KINDS: [TraceKind; 7] = [
+    TraceKind::SensorRead,
+    TraceKind::Interrupt,
+    TraceKind::DataTransfer,
+    TraceKind::Compute,
+    TraceKind::PowerState,
+    TraceKind::Scheme,
+    TraceKind::Qos,
+];
+
+fn arb_word(rng: &mut SimRng) -> &'static str {
+    TRACE_WORDS[rng.gen_range(0..TRACE_WORDS.len())]
+}
+
+fn arb_value(rng: &mut SimRng) -> ArbValue {
+    match rng.gen_range(0..4u32) {
+        0 => ArbValue::U64(rng.gen_range(0..1_000_000u64)),
+        1 => ArbValue::I64(rng.gen_range(0..2_000u64) as i64 - 1_000),
+        2 => ArbValue::Str(arb_word(rng)),
+        _ => ArbValue::Time(SimTime::from_nanos(rng.gen_range(0..1_000_000u64))),
+    }
+}
+
+/// The value in each log's terms, interning a string into both.
+fn both_values(
+    v: ArbValue,
+    new: &mut TraceLog,
+    old: &mut old_trace_log::TraceLog,
+) -> (trace::FieldValue, old_trace_log::FieldValue) {
+    use old_trace_log::FieldValue as Old;
+    use trace::FieldValue as New;
+    match v {
+        ArbValue::U64(x) => (New::U64(x), Old::U64(x)),
+        ArbValue::I64(x) => (New::I64(x), Old::I64(x)),
+        ArbValue::Str(s) => (New::Str(new.intern(s)), Old::Str(old.intern(s))),
+        ArbValue::Time(t) => (New::Time(t), Old::Time(t)),
+    }
+}
+
+/// Asserts the two logs hold the same spans, events, fields, label numbers,
+/// details and summary.
+fn assert_logs_match(new: &TraceLog, old: &old_trace_log::TraceLog, case: u64) {
+    let new_value = |v: trace::FieldValue| match v {
+        trace::FieldValue::Str(l) => new.label(l).to_string(),
+        trace::FieldValue::Time(t) => t.to_string(),
+        trace::FieldValue::U64(x) => x.to_string(),
+        trace::FieldValue::I64(x) => x.to_string(),
+    };
+    let new_fields = |f: trace::Fields| -> (String, Vec<(String, String)>) {
+        let pairs = new.fields(f);
+        let named = pairs
+            .iter()
+            .map(|&(n, v)| (new.label(n).to_string(), new_value(v)))
+            .collect();
+        (format!("{pairs:?}"), named)
+    };
+    let old_fields = |f: &old_trace_log::FieldList| -> (String, Vec<(String, String)>) {
+        let pairs = f.as_slice();
+        let named = pairs
+            .iter()
+            .map(|&(n, v)| (old.label(n).to_string(), old.render(v)))
+            .collect();
+        (format!("{pairs:?}"), named)
+    };
+    assert_eq!(
+        new.spans().len(),
+        old.spans.len(),
+        "case {case}: span count"
+    );
+    for (i, (n, o)) in new.spans().iter().zip(&old.spans).enumerate() {
+        assert_eq!(
+            new.label(n.label),
+            old.label(o.label),
+            "case {case}: span {i}"
+        );
+        assert_eq!(format!("{:?}", n.label), format!("{:?}", o.label));
+        assert_eq!((n.kind, n.enter, n.exit), (o.kind, o.enter, o.exit));
+        assert_eq!(
+            n.parent.and_then(|p| p.index()),
+            o.parent.map(|p| p.0 as usize),
+            "case {case}: span {i} parent"
+        );
+        assert_eq!(
+            n.weight.to_bits(),
+            o.weight.to_bits(),
+            "case {case}: span {i}"
+        );
+        assert_eq!(n.fields.len(), o.fields.as_slice().len());
+        assert_eq!(
+            new_fields(n.fields),
+            old_fields(&o.fields),
+            "case {case}: span {i} fields"
+        );
+    }
+    assert_eq!(
+        new.events().len(),
+        old.events.len(),
+        "case {case}: event count"
+    );
+    for (i, (n, o)) in new.events().iter().zip(&old.events).enumerate() {
+        assert_eq!((n.time, n.kind), (o.time, o.kind), "case {case}: event {i}");
+        assert_eq!(n.span.and_then(|s| s.index()), o.span.map(|s| s.0 as usize));
+        assert_eq!(format!("{:?}", n.source), format!("{:?}", o.source));
+        assert_eq!(new.label(n.source), old.label(o.source));
+        assert_eq!(
+            new_fields(n.fields),
+            old_fields(&o.fields),
+            "case {case}: event {i} fields"
+        );
+        assert_eq!(
+            new.detail(n),
+            old.detail(o),
+            "case {case}: event {i} detail"
+        );
+    }
+    let s = new.summary();
+    let (spans, events, max_depth, weight) = old.summary();
+    assert_eq!(
+        (s.spans, s.events, s.max_depth, s.total_weight.to_bits()),
+        (spans, events, max_depth, weight.to_bits()),
+        "case {case}: summary"
+    );
+}
+
+/// Random interleavings of every recording call — fields added to a span
+/// after a nested span or event included — leave the arena log and the
+/// old `FieldList` log with equal contents.
+#[test]
+fn trace_log_matches_the_field_list_log_on_any_interleaving() {
+    forall(300, |case, rng| {
+        let mut new = TraceLog::enabled();
+        let mut old = old_trace_log::TraceLog::enabled();
+        // Open spans as both logs numbered them (sentinels while disabled).
+        let mut open: Vec<(trace::SpanId, old_trace_log::SpanId)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let ops = rng.gen_range(1..300u32);
+        for _ in 0..ops {
+            now += SimDuration::from_nanos(rng.gen_range(0..1_000u64));
+            let kind = TRACE_KINDS[rng.gen_range(0..TRACE_KINDS.len())];
+            let recorded = new.spans().len();
+            match rng.gen_range(0..100u32) {
+                0..=19 => {
+                    let label = arb_word(rng);
+                    open.push((
+                        new.enter_span(now, kind, label),
+                        old.enter_span(now, kind, label),
+                    ));
+                }
+                20..=34 => {
+                    // A disabled log ignores exits, so a span it recorded
+                    // stays on the stack until the log can close it.
+                    if let Some(&(n, o)) = open.last() {
+                        if new.is_enabled() || n == trace::SpanId::DISABLED {
+                            open.pop();
+                            new.exit_span(n, now);
+                            old.exit_span(o, now);
+                        }
+                    }
+                }
+                35..=54 if recorded > 0 => {
+                    // Any recorded span, open or closed, innermost or not.
+                    let i = rng.gen_range(0..recorded);
+                    let name = arb_word(rng);
+                    let (n, o) = both_values(arb_value(rng), &mut new, &mut old);
+                    new.span_field(trace::SpanId::from_index(i), name, n);
+                    old.span_field(old_trace_log::SpanId(i as u32), name, o);
+                }
+                55..=59 if recorded > 0 => {
+                    let i = rng.gen_range(0..recorded);
+                    let w = rng.gen_range(0..1_000u64) as f64 / 7.0;
+                    new.charge_span(trace::SpanId::from_index(i), w);
+                    old.charge_span(old_trace_log::SpanId(i as u32), w);
+                }
+                60..=74 => {
+                    let source = arb_word(rng);
+                    let n_fields = rng.gen_range(0..6usize);
+                    let mut new_fields = Vec::new();
+                    let mut old_fields = Vec::new();
+                    for _ in 0..n_fields {
+                        let name = arb_word(rng);
+                        let (n, o) = both_values(arb_value(rng), &mut new, &mut old);
+                        new_fields.push((name, n));
+                        old_fields.push((name, o));
+                    }
+                    new.event(now, kind, source, &new_fields);
+                    old.event(now, kind, source, &old_fields);
+                }
+                75..=82 => {
+                    let (source, detail) = (arb_word(rng), arb_word(rng));
+                    new.record(now, kind, source, detail);
+                    old.record(now, kind, source, detail);
+                }
+                83..=89 => {
+                    let source = arb_word(rng);
+                    let x = rng.gen_range(0..200u64);
+                    new.record_with(now, kind, source, || format!("detail {x}"));
+                    old.record_with(now, kind, source, || format!("detail {x}"));
+                }
+                90..=95 => {
+                    let s = arb_word(rng);
+                    assert_eq!(
+                        format!("{:?}", new.intern(s)),
+                        format!("{:?}", old.intern(s)),
+                        "case {case}: intern({s:?})"
+                    );
+                }
+                96..=97 => {
+                    let on = !new.is_enabled();
+                    new.set_enabled(on);
+                    old.set_enabled(on);
+                }
+                _ => {
+                    new.clear();
+                    old.clear();
+                    open.clear();
+                }
+            }
+        }
+        assert_logs_match(&new, &old, case);
+        // Trimming changes capacity only.
+        let mut trimmed = new.clone();
+        trimmed.shrink_to_fit();
+        assert_logs_match(&trimmed, &old, case);
     });
 }
