@@ -92,6 +92,51 @@ fn write_micros(out: &mut String, ns: u64) {
     }
 }
 
+/// Appends `x` exactly as `format!("{x:.3}")` would, without going through
+/// `core::fmt` for the values a trace holds.
+///
+/// A finite `x` in `[0, 1e15)` is `m / 2^s` for integers `m < 2^53` and
+/// `s ≥ 3`, so `x · 1000` rounded half to even — the rounding `core::fmt`
+/// applies to the exact binary value — is an integer shift of `m · 1000`,
+/// which fits a `u64`. That integer is then written as its thousands, a
+/// `.` and three digits. Negative values, `-0.0`, NaN, the infinities and
+/// `x ≥ 1e15` go through `write!` unchanged.
+fn write_fixed3(out: &mut String, x: f64) {
+    // `-0.0 >= 0.0` holds, so the sign bit is tested on its own.
+    if !(0.0..1e15).contains(&x) || x.is_sign_negative() {
+        let _ = write!(out, "{x:.3}");
+        return;
+    }
+    let bits = x.to_bits();
+    let biased = (bits >> 52) as u32;
+    let frac = bits & ((1 << 52) - 1);
+    let (m, s) = if biased == 0 {
+        (frac, 1074)
+    } else {
+        (frac | 1 << 52, 1075 - biased)
+    };
+    let n = m * 1000;
+    // Past 63 bits of shift, `n < 2^63` is under half a unit: it rounds to 0.
+    let q = if s >= 64 {
+        0
+    } else {
+        let q = n >> s;
+        let rem = n & ((1 << s) - 1);
+        let half = 1 << (s - 1);
+        if rem > half || (rem == half && q & 1 == 1) {
+            q + 1
+        } else {
+            q
+        }
+    };
+    write_u64(out, q / 1000);
+    out.push('.');
+    let frac = q % 1000;
+    for d in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from(b'0' + d as u8));
+    }
+}
+
 /// Appends one typed field value as a JSON value.
 fn write_field_value(out: &mut String, result: &RunResult, value: FieldValue) {
     match value {
@@ -181,11 +226,8 @@ pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
         write_micros(&mut out, span.enter.as_nanos());
         out.push_str(",\"dur\":");
         write_micros(&mut out, exit.as_nanos() - span.enter.as_nanos());
-        let _ = write!(
-            out,
-            ",\"pid\":1,\"tid\":1,\"args\":{{\"energy_self_uj\":{:.3}",
-            span.weight
-        );
+        out.push_str(",\"pid\":1,\"tid\":1,\"args\":{\"energy_self_uj\":");
+        write_fixed3(&mut out, span.weight);
         write_fields(&mut out, result, span.fields);
         out.push_str("}}");
     }
@@ -209,11 +251,9 @@ pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
         for &(t, p) in power.points() {
             out.push_str(",\n{\"name\":\"power_mw\",\"ph\":\"C\",\"ts\":");
             write_micros(&mut out, t.as_nanos());
-            let _ = write!(
-                out,
-                ",\"pid\":1,\"args\":{{\"mw\":{:.3}}}}}",
-                p.as_milliwatts()
-            );
+            out.push_str(",\"pid\":1,\"args\":{\"mw\":");
+            write_fixed3(&mut out, p.as_milliwatts());
+            out.push_str("}}");
         }
         if let Some(end) = power.end() {
             out.push_str(",\n{\"name\":\"power_mw\",\"ph\":\"C\",\"ts\":");
@@ -236,12 +276,10 @@ pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(
-                        out,
-                        "\"{}\":{:.3}",
-                        routine_key(routine),
-                        series[i].points()[w].1
-                    );
+                    out.push('"');
+                    out.push_str(routine_key(routine));
+                    out.push_str("\":");
+                    write_fixed3(&mut out, series[i].points()[w].1);
                 }
                 out.push_str("}}");
             }
@@ -535,6 +573,91 @@ mod tests {
         // form still is.
         assert_eq!(micros(FLOAT_EXACT_NS + 1), "8796093022208.001");
         assert_eq!(float(FLOAT_EXACT_NS + 1), "8796093022208.002");
+    }
+
+    /// Checks `write_fixed3` against `format!("{:.3}")` on `x`.
+    fn assert_fixed3(x: f64) {
+        let mut out = String::new();
+        write_fixed3(&mut out, x);
+        assert_eq!(
+            out,
+            format!("{x:.3}"),
+            "x = {x:e} (bits {:#x})",
+            x.to_bits()
+        );
+    }
+
+    /// One round of `write_fixed3`'s oracle: ten values drawn from `rng`
+    /// across the cases where fixed-point rounding goes wrong.
+    fn fixed3_round(rng: &mut iotse_sim::rng::SimRng) {
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        // Any bit pattern: every sign, exponent, NaN payload and infinity.
+        assert_fixed3(f64::from_bits(rng.next_u64()));
+        // Uniform over [0, 10^k) for every magnitude a trace holds.
+        let k = rng.gen_range(0..=15i32);
+        assert_fixed3(rng.gen::<f64>() * 10f64.powi(k));
+        // Exact binary ties and near-ties: j / 2^p with up to 50 bits of j.
+        let p = rng.gen_range(1..=60u32);
+        let j = rng.next_u64() >> rng.gen_range(14..=63u32);
+        assert_fixed3(j as f64 / (1u64 << p) as f64);
+        // One ulp either side of a three-decimal value and of a decimal tie.
+        let k = (rng.next_u64() >> rng.gen_range(14..=63u32)) as f64;
+        for x in [k / 1000.0, (k + 0.5) / 1000.0] {
+            assert_fixed3(x);
+            assert_fixed3(ulp_up(x));
+            if x > 0.0 {
+                assert_fixed3(ulp_down(x));
+            }
+        }
+        // Subnormals.
+        assert_fixed3(f64::from_bits(rng.next_u64() & ((1 << 52) - 1)));
+    }
+
+    #[test]
+    fn fixed3_matches_core_fmt() {
+        for x in [
+            0.0,
+            -0.0,
+            -1.5,
+            -0.0004,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e15,
+            f64::from_bits(1e15f64.to_bits() - 1),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            0.0005,
+            0.0015,
+            0.0025,
+            0.125,
+            2.5,
+            999.9995,
+            1.0 / 3.0,
+        ] {
+            assert_fixed3(x);
+        }
+        // About 10^5 values.
+        let mut rng = iotse_sim::rng::SimRng::seed_from_u64(0xf13e);
+        for _ in 0..10_000 {
+            fixed3_round(&mut rng);
+        }
+    }
+
+    /// The long form of [`fixed3_matches_core_fmt`]: 3×10^7 values. Run it
+    /// in release mode with `cargo test --release -p iotse-bench --lib --
+    /// --ignored fixed3_sweep`; it fails if a toolchain changes how
+    /// `core::fmt` rounds.
+    #[test]
+    #[ignore = "about a minute in release mode"]
+    fn fixed3_sweep() {
+        let mut rng = iotse_sim::rng::SimRng::seed_from_u64(0x5eed_f13e);
+        for _ in 0..3_000_000 {
+            fixed3_round(&mut rng);
+        }
     }
 
     #[test]

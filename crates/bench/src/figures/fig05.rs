@@ -63,28 +63,36 @@ pub fn run(cfg: &ExperimentConfig) -> Fig05 {
     }
 }
 
-/// Renders a timeline as a fixed-width strip: one glyph per time slot
-/// (`#` busy, `.` idle-active, `t` transition, `s` sleep, `z` deep sleep).
-#[must_use]
-pub fn render_strip(timeline: &Timeline, horizon: SimTime, width: usize) -> String {
-    let glyph = |name: &str| match name {
+/// The glyph of a phase name in a strip.
+fn glyph(name: &str) -> char {
+    match name {
         "busy" => '#',
         "idle-active" | "idle" => '.',
         "transition" => 't',
         "sleep" => 's',
         "deep-sleep" => 'z',
         _ => '?',
-    };
+    }
+}
+
+/// Renders a timeline as a fixed-width strip: one glyph per time slot
+/// (`#` busy, `.` idle-active, `t` transition, `s` sleep, `z` deep sleep).
+///
+/// Each slot shows the phase in effect at its start: the last change
+/// point at or before it, `?` if there is none. Slot starts only move
+/// forward, so one cursor walks the timeline once for the whole strip.
+#[must_use]
+pub fn render_strip(timeline: &Timeline, horizon: SimTime, width: usize) -> String {
     let mut out = String::with_capacity(width);
     let total = horizon.as_nanos().max(1);
+    // `seen` counts the change points at or before the current slot.
+    let mut seen = 0;
     for slot in 0..width {
         let t = SimTime::from_nanos(total * slot as u64 / width as u64);
-        // The phase in effect at t: last change point at or before t.
-        let name = timeline
-            .iter()
-            .take_while(|&&(start, _)| start <= t)
-            .last()
-            .map_or("?", |&(_, n)| n);
+        while timeline.get(seen).is_some_and(|&(start, _)| start <= t) {
+            seen += 1;
+        }
+        let name = seen.checked_sub(1).map_or("?", |i| timeline[i].1);
         out.push(glyph(name));
     }
     out
@@ -152,6 +160,69 @@ mod tests {
             .iter()
             .all(|&(_, n)| n != "sleep" && n != "deep-sleep"));
         assert!(fig.batching_cpu.iter().any(|&(_, n)| n == "sleep"));
+    }
+
+    /// The strip as first written: each slot rescans the timeline from
+    /// its start.
+    fn rescanning_strip(timeline: &Timeline, horizon: SimTime, width: usize) -> String {
+        let total = horizon.as_nanos().max(1);
+        (0..width)
+            .map(|slot| {
+                let t = SimTime::from_nanos(total * slot as u64 / width as u64);
+                let name = timeline
+                    .iter()
+                    .take_while(|&&(start, _)| start <= t)
+                    .last()
+                    .map_or("?", |&(_, n)| n);
+                glyph(name)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_cursor_strip_matches_the_rescanning_strip() {
+        use iotse_sim::rng::SimRng;
+        const NAMES: [&str; 7] = [
+            "busy",
+            "idle-active",
+            "idle",
+            "transition",
+            "sleep",
+            "deep-sleep",
+            "other",
+        ];
+        let mut rng = SimRng::seed_from_u64(0x5791);
+        for case in 0..2_000 {
+            let horizon = SimTime::from_nanos(rng.gen_range(0..5_000_000u64));
+            let width = rng.gen_range(0..130usize);
+            let len = rng.gen_range(0..40usize);
+            // Change points run to twice the horizon, so some fall past it;
+            // every fifth timeline opens at t = 0 and every seventh is left
+            // unsorted.
+            let mut timeline: Timeline = (0..len)
+                .map(|_| {
+                    let at = rng.gen_range(0..=2 * horizon.as_nanos());
+                    (
+                        SimTime::from_nanos(at),
+                        NAMES[rng.gen_range(0..NAMES.len())],
+                    )
+                })
+                .collect();
+            if case % 7 != 0 {
+                timeline.sort_by_key(|&(t, _)| t);
+            }
+            if case % 5 == 0 {
+                if let Some(first) = timeline.first_mut() {
+                    first.0 = SimTime::ZERO;
+                }
+            }
+            assert_eq!(
+                render_strip(&timeline, horizon, width),
+                rescanning_strip(&timeline, horizon, width),
+                "case {case}: {timeline:?} over {horizon} at width {width}"
+            );
+        }
+        assert_eq!(render_strip(&Vec::new(), SimTime::ZERO, 3), "???");
     }
 
     #[test]

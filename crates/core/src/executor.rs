@@ -21,11 +21,11 @@ use iotse_sensors::reading::{SampleValue, SensorSample};
 use iotse_sensors::spec::SensorId;
 use iotse_sensors::world::{PhysicalWorld, WorldConfig};
 use iotse_sim::engine::Engine;
-use iotse_sim::faults::{FaultPlan, FaultScript, SensorDisposition};
+use iotse_sim::faults::{FaultKind, FaultPlan, FaultScript, SensorDisposition};
 use iotse_sim::metrics::{HistogramId, MetricsRegistry, MetricsReport};
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};
-use iotse_sim::trace::{FieldValue, SpanId, TraceKind, TraceLog};
+use iotse_sim::trace::{FieldValue, Label, SpanId, TraceKind, TraceLog};
 
 use crate::admission::classify;
 use crate::calibration::Calibration;
@@ -340,7 +340,7 @@ struct Group {
     members: Vec<usize>,
     /// The sensor's display name, interned once at scenario setup when
     /// tracing is live (`None` otherwise) — ticks never re-format it.
-    sensor_label: Option<iotse_sim::trace::Label>,
+    sensor_label: Option<Label>,
 }
 
 fn build_groups(apps: &[AppRt], scheme: Scheme) -> Vec<Group> {
@@ -372,12 +372,56 @@ fn build_groups(apps: &[AppRt], scheme: Scheme) -> Vec<Group> {
     groups
 }
 
+/// A span name's slot in [`SiteLabels`].
+#[derive(Default)]
+struct SpanSlot(Option<Label>);
+
+impl SpanSlot {
+    /// The label of span name `name`, interned into `trace` the first time.
+    /// IOTSE-M09 checks every literal passed here.
+    fn span_label(&mut self, trace: &mut TraceLog, name: &str) -> Label {
+        trace.intern_once(&mut self.0, name)
+    }
+}
+
+/// The labels of the fixed strings that ticks and windows record: span
+/// names, event sources, field names and the sensor fault messages. Each
+/// slot is filled the first time its string is recorded, so every label
+/// keeps the number that interning at each call gave it, and the hot path
+/// makes no intern lookup after that. An untraced run never fills a slot.
+#[derive(Default)]
+struct SiteLabels {
+    tick: SpanSlot,
+    collect: SpanSlot,
+    interrupt: SpanSlot,
+    transfer: SpanSlot,
+    compute: SpanSlot,
+    flush: SpanSlot,
+    mcu: Option<Label>,
+    link: Option<Label>,
+    batching: Option<Label>,
+    com: Option<Label>,
+    exec: Option<Label>,
+    sensor: Option<Label>,
+    window: Option<Label>,
+    bytes: Option<Label>,
+    flushed_bytes: Option<Label>,
+    forced_flush_bytes: Option<Label>,
+    offloaded_bytes: Option<Label>,
+    result: Option<Label>,
+    deadline: Option<Label>,
+    /// Each sensor's dropout message, by [`SensorId::slot`].
+    dropout: [Option<Label>; 10],
+    /// Each sensor's not-ready message, by [`SensorId::slot`].
+    not_ready: [Option<Label>; 10],
+}
+
 /// What a run's recorders are expected to hold, estimated from its tick
-/// schedule (windows × samples per window, per group) so that
-/// [`Exec::new`] reserves the trace and the CPU/MCU timelines once instead
-/// of letting them regrow. Fault records (dropouts, retries, spurious
-/// interrupts) are not counted, so a faulted run may regrow an array once;
-/// [`Exec::into_result`] trims the slack either way.
+/// schedule (windows × samples per window, per group) and its fault
+/// scripts, so that [`Exec::new`] reserves the trace and the CPU/MCU
+/// timelines once instead of letting them regrow. Random faults are
+/// counted at their expected rate, so an unlucky run may still regrow an
+/// array once; [`Exec::into_result`] trims the slack either way.
 struct RecordingSize {
     spans: usize,
     events: usize,
@@ -421,6 +465,61 @@ impl RecordingSize {
             size.mcu_segments += mcu * ticks;
         }
         size
+    }
+
+    /// Adds the fault records: each of the `storm_interrupts` spurious
+    /// interrupts records a span, two events (the interrupt and its fault
+    /// message), the message field and about two phases on each processor;
+    /// each failed read attempt records a message event and its field.
+    /// A dropped sample fails every attempt, and a not-ready check fails
+    /// `q + q² + …` attempts on average, at the script's rate over the part
+    /// of its window inside the run. The reservation is that mean `F` plus
+    /// three standard deviations: no read fails more than
+    /// `MAX_READ_RETRIES` times, so the count's variance is at most
+    /// `MAX_READ_RETRIES · F`. A link partition records a message for the
+    /// transfer it holds back, and the transfers queued behind that one
+    /// start after it lifts, so the tick schedule's slack covers it.
+    fn add_faults(
+        &mut self,
+        groups: &[Group],
+        apps: &[AppRt],
+        scripts: &[FaultScript],
+        horizon: SimTime,
+        storm_interrupts: usize,
+    ) {
+        self.spans += storm_interrupts;
+        self.events += 2 * storm_interrupts;
+        self.fields += storm_interrupts;
+        self.cpu_segments += 2 * storm_interrupts;
+        self.mcu_segments += 2 * storm_interrupts;
+        let mut failed = 0.0;
+        for script in scripts {
+            let per_read = match script.kind {
+                FaultKind::SensorDropout { probability } => {
+                    probability * f64::from(MAX_READ_RETRIES)
+                }
+                FaultKind::SensorUnavailable { probability } => (1..=MAX_READ_RETRIES)
+                    .map(|k| probability.powi(k as i32))
+                    .sum(),
+                _ => continue,
+            };
+            let active = script
+                .end()
+                .min(horizon)
+                .saturating_duration_since(script.start);
+            for g in groups
+                .iter()
+                .filter(|g| script.targets_slot(g.sensor.slot()))
+            {
+                let window = apps[g.members[0]].window_len;
+                let reads = active.as_nanos() as f64 * f64::from(g.samples_per_window)
+                    / window.as_nanos() as f64;
+                failed += per_read * reads;
+            }
+        }
+        let failed = (failed + 3.0 * (f64::from(MAX_READ_RETRIES) * failed).sqrt()).ceil() as usize;
+        self.events += failed;
+        self.fields += failed;
     }
 }
 
@@ -543,6 +642,8 @@ struct Exec {
     mcu: McuAccount,
     ledger: EnergyLedger,
     trace: TraceLog,
+    /// Interned labels of the trace's call-site strings.
+    sites: SiteLabels,
     metrics: Option<MetricsState>,
     /// Routes memoizable kernels through [`crate::compute_cache`].
     compute_cache: bool,
@@ -624,6 +725,7 @@ impl Exec {
             } else {
                 TraceLog::disabled()
             },
+            sites: SiteLabels::default(),
             metrics: s.metrics.then(MetricsState::new),
             compute_cache: s.compute_cache,
             assigned: 0.0,
@@ -656,7 +758,7 @@ impl Exec {
 
         // Tick groups: BEAM merges same-rate shared sensors.
         exec.groups = build_groups(&exec.apps, s.scheme);
-        let size = RecordingSize::of(&exec.groups, &exec.apps, s.windows);
+        let size = exec.recording_size(s.windows, &s.faults);
         exec.trace.reserve(size.spans, size.events, size.fields);
         exec.cpu.reserve_timeline(size.cpu_segments);
         exec.mcu.reserve_timeline(size.mcu_segments);
@@ -667,6 +769,17 @@ impl Exec {
             }
         }
         exec
+    }
+
+    /// What this run's recorders are expected to hold (see
+    /// [`RecordingSize`]); `scripts` are the faults its plan compiled.
+    fn recording_size(&self, windows: u32, scripts: &[FaultScript]) -> RecordingSize {
+        let mut size = RecordingSize::of(&self.groups, &self.apps, windows);
+        if let Some(plan) = &self.faults {
+            let storms = plan.storm_count(self.horizon);
+            size.add_faults(&self.groups, &self.apps, scripts, self.horizon, storms);
+        }
+        size
     }
 
     /// Schedules every tick of every window, plus any interrupt-storm
@@ -827,13 +940,20 @@ impl Exec {
         let g = &self.groups[group_idx];
         let (sensor, bytes, sensor_label) = (g.sensor, g.bytes_per_sample, g.sensor_label);
 
+        let name = self
+            .sites
+            .tick
+            .span_label(&mut self.trace, "iotse_core_tick");
         let tick = self
             .trace
-            .enter_span(now, TraceKind::SensorRead, "iotse_core_tick");
+            .enter_span_label(now, TraceKind::SensorRead, name);
         if let Some(lbl) = sensor_label {
-            self.trace.span_field(tick, "sensor", FieldValue::Str(lbl));
+            let field = self.trace.intern_once(&mut self.sites.sensor, "sensor");
             self.trace
-                .span_field(tick, "window", FieldValue::U64(u64::from(window)));
+                .span_field_label(tick, field, FieldValue::Str(lbl));
+            let field = self.trace.intern_once(&mut self.sites.window, "window");
+            self.trace
+                .span_field_label(tick, field, FieldValue::U64(u64::from(window)));
         }
         let (sample, read_end, read_cost) = self.collect_sample(now, sensor, bytes, sensor_label);
         // Collection busy time, split across sharers under BEAM.
@@ -878,11 +998,15 @@ impl Exec {
         now: SimTime,
         sensor: SensorId,
         bytes: usize,
-        sensor_label: Option<iotse_sim::trace::Label>,
+        sensor_label: Option<Label>,
     ) -> (Option<SensorSample>, SimTime, SimDuration) {
+        let name = self
+            .sites
+            .collect
+            .span_label(&mut self.trace, "iotse_core_collect");
         let span = self
             .trace
-            .enter_span(now, TraceKind::SensorRead, "iotse_core_collect");
+            .enter_span_label(now, TraceKind::SensorRead, name);
         // Fault hooks: a compiled plan decides this sampling event's fate
         // and any clock-drift stretch of the read overhead. Both branches
         // collapse to `None`/`ZERO` without a plan — the fault-free path
@@ -919,11 +1043,12 @@ impl Exec {
                 // for (MCU overhead + sensor acquisition power) but the
                 // generator is never advanced — the physical world is
                 // unchanged by a read that did not happen.
-                self.trace
-                    .record_with(end, TraceKind::SensorRead, "mcu", || {
-                        // lint: formats only when a trace sink is live
-                        format!("fault: {sensor} dropout")
-                    });
+                let slot = &mut self.sites.dropout[usize::from(sensor.slot())];
+                let msg = self.trace.intern_once_with(slot, || {
+                    // lint: formats once per sensor, and only when a trace sink is live
+                    format!("fault: {sensor} dropout")
+                });
+                self.record_sensor_fault(end, msg);
                 continue;
             }
             // Task I: the availability check fails (the MCU "stops reading
@@ -933,11 +1058,12 @@ impl Exec {
                 None => false,
             };
             if unavailable {
-                self.trace
-                    .record_with(end, TraceKind::SensorRead, "mcu", || {
-                        // lint: formats only when a trace sink is live
-                        format!("sensor {sensor} not ready: ready bit not set")
-                    });
+                let slot = &mut self.sites.not_ready[usize::from(sensor.slot())];
+                let msg = self.trace.intern_once_with(slot, || {
+                    // lint: formats once per sensor, and only when a trace sink is live
+                    format!("sensor {sensor} not ready: ready bit not set")
+                });
+                self.record_sensor_fault(end, msg);
                 continue;
             }
             let Ok(mut s) = self.world.read(sensor, now);
@@ -946,19 +1072,30 @@ impl Exec {
             break;
         }
         if let Some(lbl) = sensor_label.filter(|_| sample.is_some()) {
-            self.trace.event(
+            let t = &mut self.trace;
+            let source = t.intern_once(&mut self.sites.mcu, "mcu");
+            let sensor = t.intern_once(&mut self.sites.sensor, "sensor");
+            let size = t.intern_once(&mut self.sites.bytes, "bytes");
+            t.event_label(
                 read_end,
                 TraceKind::SensorRead,
-                "mcu",
+                source,
                 &[
-                    ("sensor", FieldValue::Str(lbl)),
-                    ("bytes", FieldValue::U64(bytes as u64)),
+                    (sensor, FieldValue::Str(lbl)),
+                    (size, FieldValue::U64(bytes as u64)),
                 ],
             );
         }
         self.settle(span);
         self.trace.exit_span(span, read_end);
         (sample, read_end, read_cost)
+    }
+
+    /// Records sensor fault message `msg`, reported by the MCU at `at`.
+    fn record_sensor_fault(&mut self, at: SimTime, msg: Label) {
+        let source = self.trace.intern_once(&mut self.sites.mcu, "mcu");
+        self.trace
+            .record_label(at, TraceKind::SensorRead, source, msg);
     }
 
     /// Stuck-at and noise-burst perturb a sample after acquisition, on the
@@ -1068,9 +1205,13 @@ impl Exec {
 
     /// MCU raises the line, CPU services it. Returns when handling ends.
     fn interrupt(&mut self, ready: SimTime) -> SimTime {
+        let name = self
+            .sites
+            .interrupt
+            .span_label(&mut self.trace, "iotse_core_interrupt");
         let span = self
             .trace
-            .enter_span(ready, TraceKind::Interrupt, "iotse_core_interrupt");
+            .enter_span_label(ready, TraceKind::Interrupt, name);
         let (_, raise_end) = self.mcu.task(
             &mut self.ledger,
             ready,
@@ -1084,7 +1225,9 @@ impl Exec {
             Routine::Interrupt,
         );
         self.interrupts += 1;
-        self.trace.event(handled, TraceKind::Interrupt, "mcu", &[]);
+        let source = self.trace.intern_once(&mut self.sites.mcu, "mcu");
+        self.trace
+            .event_label(handled, TraceKind::Interrupt, source, &[]);
         self.settle(span);
         self.trace.exit_span(span, handled);
         handled
@@ -1114,11 +1257,16 @@ impl Exec {
             }
             wire_bytes += plan.corrupted_bytes(ready, bytes as u64) as usize;
         }
+        let name = self
+            .sites
+            .transfer
+            .span_label(&mut self.trace, "iotse_core_transfer");
         let span = self
             .trace
-            .enter_span(ready, TraceKind::DataTransfer, "iotse_core_transfer");
+            .enter_span_label(ready, TraceKind::DataTransfer, name);
+        let field = self.trace.intern_once(&mut self.sites.bytes, "bytes");
         self.trace
-            .span_field(span, "bytes", FieldValue::U64(bytes as u64));
+            .span_field_label(span, field, FieldValue::U64(bytes as u64));
         let dur = self.cal.transfer_time(wire_bytes);
         self.bytes_transferred += bytes as u64;
         if let Some(m) = &mut self.metrics {
@@ -1149,11 +1297,12 @@ impl Exec {
             Routine::DataTransfer,
             self.cal.link_active * dur,
         );
-        self.trace.event(
+        let source = self.trace.intern_once(&mut self.sites.link, "link");
+        self.trace.event_label(
             end,
             TraceKind::DataTransfer,
-            "link",
-            &[("bytes", FieldValue::U64(bytes as u64))],
+            source,
+            &[(field, FieldValue::U64(bytes as u64))],
         );
         self.settle(span);
         self.trace.exit_span(span, end);
@@ -1165,9 +1314,11 @@ impl Exec {
     /// when it ends.
     fn compute(&mut self, app: usize, ready: SimTime) -> (SimDuration, SimTime) {
         let res = self.apps[app].workload.resources();
-        let span = self
-            .trace
-            .enter_span(ready, TraceKind::Compute, "iotse_core_compute");
+        let name = self
+            .sites
+            .compute
+            .span_label(&mut self.trace, "iotse_core_compute");
+        let span = self.trace.enter_span_label(ready, TraceKind::Compute, name);
         let offloaded = self.apps[app].flow == AppFlow::Offloaded;
         let busy = if offloaded {
             res.mcu_compute
@@ -1196,7 +1347,7 @@ impl Exec {
         let flow = self.apps[app].flow;
         let mut ready = pw.ready;
         if flow == AppFlow::Batched {
-            ready = self.flush(ready, pw.batch_bytes, "flushed_bytes");
+            ready = self.flush(ready, pw.batch_bytes, false);
             pw.processing.interrupt += self.cal.cpu_interrupt_handling;
             pw.processing.data_transfer += self.cal.transfer_time(pw.batch_bytes);
         }
@@ -1209,11 +1360,14 @@ impl Exec {
             done = self.transfer(int_end, bytes);
             pw.processing.interrupt += self.cal.cpu_interrupt_handling;
             pw.processing.data_transfer += self.cal.transfer_time(bytes);
-            self.trace.event(
+            let t = &mut self.trace;
+            let source = t.intern_once(&mut self.sites.com, "com");
+            let field = t.intern_once(&mut self.sites.offloaded_bytes, "offloaded_bytes");
+            t.event_label(
                 done,
                 TraceKind::Scheme,
-                "com",
-                &[("offloaded_bytes", FieldValue::U64(bytes as u64))],
+                source,
+                &[(field, FieldValue::U64(bytes as u64))],
             );
         }
         let outcome = WindowOutcome {
@@ -1251,15 +1405,20 @@ impl Exec {
     /// then files the outcome.
     fn record_outcome(&mut self, app: usize, outcome: WindowOutcome) {
         if self.trace.is_enabled() {
-            let result = self.trace.intern(&outcome.output.summary());
-            self.trace.event(
+            let t = &mut self.trace;
+            let summary = t.intern(&outcome.output.summary());
+            let source = t.intern_once(&mut self.sites.exec, "exec");
+            let result = t.intern_once(&mut self.sites.result, "result");
+            let window = t.intern_once(&mut self.sites.window, "window");
+            let deadline = t.intern_once(&mut self.sites.deadline, "deadline");
+            t.event_label(
                 outcome.completed_at,
                 TraceKind::Qos,
-                "exec",
+                source,
                 &[
-                    ("result", FieldValue::Str(result)),
-                    ("window", FieldValue::U64(u64::from(outcome.window))),
-                    ("deadline", FieldValue::Time(outcome.deadline)),
+                    (result, FieldValue::Str(summary)),
+                    (window, FieldValue::U64(u64::from(outcome.window))),
+                    (deadline, FieldValue::Time(outcome.deadline)),
                 ],
             );
         }
@@ -1294,7 +1453,7 @@ impl Exec {
                 if batch == 0 {
                     continue;
                 }
-                let tx_end = self.flush(ready, batch, "forced_flush_bytes");
+                let tx_end = self.flush(ready, batch, true);
                 let cal = &self.cal;
                 if let Some(pw) = self.apps[app].pending.get_mut(&w) {
                     pw.batch_bytes = 0;
@@ -1308,19 +1467,29 @@ impl Exec {
     }
 
     /// Flushes `batch` buffered bytes: one interrupt, one bulk transfer.
-    /// `field` names the byte count on the `batching` event. Returns when
-    /// the transfer ends.
-    fn flush(&mut self, ready: SimTime, batch: usize, field: &str) -> SimTime {
-        let span = self
-            .trace
-            .enter_span(ready, TraceKind::Scheme, "iotse_core_flush");
+    /// The `batching` event names the byte count `forced_flush_bytes` for
+    /// a `forced` (buffer-pressure) flush and `flushed_bytes` otherwise.
+    /// Returns when the transfer ends.
+    fn flush(&mut self, ready: SimTime, batch: usize, forced: bool) -> SimTime {
+        let name = self
+            .sites
+            .flush
+            .span_label(&mut self.trace, "iotse_core_flush");
+        let span = self.trace.enter_span_label(ready, TraceKind::Scheme, name);
         let int_end = self.interrupt(ready);
         self.mcu.buffer_release(batch);
         let tx_end = self.transfer(int_end, batch);
-        self.trace.event(
+        let t = &mut self.trace;
+        let source = t.intern_once(&mut self.sites.batching, "batching");
+        let field = if forced {
+            t.intern_once(&mut self.sites.forced_flush_bytes, "forced_flush_bytes")
+        } else {
+            t.intern_once(&mut self.sites.flushed_bytes, "flushed_bytes")
+        };
+        t.event_label(
             tx_end,
             TraceKind::Scheme,
-            "batching",
+            source,
             &[(field, FieldValue::U64(batch as u64))],
         );
         self.trace.exit_span(span, tx_end);
@@ -1794,6 +1963,49 @@ mod tests {
             .filter(|e| r.trace.detail(e) == "sensor S4 not ready: ready bit not set")
             .count() as u64;
         assert_eq!(not_ready, attempts);
+    }
+
+    /// A demo-faulted run of two apps on the 1 kHz accelerometer (the
+    /// shape of `inspect --apps A2,A7 --faults demo`) records no more
+    /// spans, events or fields than it reserved, so no array regrows.
+    #[test]
+    fn a_demo_faulted_run_stays_inside_its_reservation() {
+        let scripts = crate::robustness::demo_scripts();
+        for scheme in Scheme::ALL {
+            for seed in [42, 7] {
+                let accel = |id| {
+                    let mut app = Fake::stepish(id);
+                    app.sensors = vec![SensorUsage::periodic(SensorId::S4, 1000)];
+                    Box::new(app) as Box<dyn Workload>
+                };
+                let scenario = Scenario::new(scheme, vec![accel(AppId::A2), accel(AppId::A7)])
+                    .windows(4)
+                    .seed(seed)
+                    .faults(scripts.clone())
+                    .with_trace();
+                let mut exec = Exec::new(scenario);
+                let size = exec.recording_size(4, &scripts);
+                let mut engine = exec.schedule(4);
+                let root =
+                    exec.trace
+                        .enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_core_run");
+                engine.run(&mut exec);
+                exec.close_books(root);
+                let trace = &exec.trace;
+                // Executor spans take their fields right after opening, so
+                // no field run is ever copied: the runs fill the arena.
+                let fields: usize = trace.spans().iter().map(|s| s.fields.len()).sum::<usize>()
+                    + trace.events().iter().map(|e| e.fields.len()).sum::<usize>();
+                let case = format!("{scheme} seed {seed}");
+                assert!(trace.spans().len() <= size.spans, "{case}: spans");
+                assert!(trace.events().len() <= size.events, "{case}: events");
+                assert!(fields <= size.fields, "{case}: fields");
+                assert!(exec
+                    .faults
+                    .as_ref()
+                    .is_some_and(|p| p.stats().samples_dropped > 0));
+            }
+        }
     }
 
     #[test]

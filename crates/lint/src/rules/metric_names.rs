@@ -4,7 +4,8 @@
 //! stacks across crates; both only stay mergeable and greppable if every
 //! registration site uses the shared naming scheme. The rule inspects each
 //! string literal passed at a registration call site — `enter_span(..)`,
-//! `.counter("..")`, `.gauge("..")`, `.histogram("..", ..)` — and requires
+//! `span_label(..)`, `.counter("..")`, `.gauge("..")`,
+//! `.histogram("..", ..)` — and requires
 //! `iotse_<crate>_<snake_case>` where `<crate>` is one of the workspace
 //! crates. Lookup helpers share the method names, so well-named lookups are
 //! checked for free; lines without a string literal (definitions,
@@ -20,7 +21,15 @@ pub const SUMMARY: &str =
     "metric and span label literals must match iotse_<crate>_<name> (lower snake_case)";
 
 /// Call markers whose string-literal arguments are label registrations.
-const CALL_SITES: &[&str] = &["enter_span(", ".counter(", ".gauge(", ".histogram("];
+/// `span_label(` is where the executor interns the span names it then
+/// passes to `enter_span_label`.
+const CALL_SITES: &[&str] = &[
+    "enter_span(",
+    "span_label(",
+    ".counter(",
+    ".gauge(",
+    ".histogram(",
+];
 
 /// Valid `<crate>` segments for the prefix.
 const CRATES: &[&str] = &["sim", "energy", "sensors", "core", "apps", "bench"];
@@ -123,15 +132,18 @@ mod tests {
 let id = reg.counter(\"iotse_core_ok_total\");
 let bad = reg.gauge(\"power\");
 let span = log.enter_span(t, kind, \"iotse_core_tick\");
+let name = slot.span_label(&mut trace, \"tick\");
 pub fn gauge(&mut self, name: &str) -> GaugeId {
 let v = reg.gauge(name);
 ";
         let file = SourceFile::parse("crates/core/src/x.rs", src);
         let mut findings = Vec::new();
         check(&file, &mut findings);
-        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings.len(), 2, "{findings:?}");
         assert_eq!(findings[0].line, 2);
         assert!(findings[0].message.contains("`power`"));
+        assert_eq!(findings[1].line, 4);
+        assert!(findings[1].message.contains("`tick`"));
     }
 
     #[test]

@@ -397,26 +397,37 @@ impl FaultPlan {
     /// the declared window alone).
     #[must_use]
     pub fn storm_schedule(&self, horizon: SimTime) -> Vec<SimTime> {
-        let mut times = Vec::new();
-        for rt in &self.scripts {
-            if let FaultKind::InterruptStorm { rate_hz } = rt.script.kind {
-                if rate_hz == 0 || rt.script.duration == SimDuration::ZERO {
-                    continue;
-                }
-                let interval_ns = 1_000_000_000u64 / u64::from(rate_hz);
-                if interval_ns == 0 {
-                    continue;
-                }
-                let end = rt.script.end().min(horizon);
-                let mut t = rt.script.start;
-                while t < end {
-                    times.push(t);
-                    t = t.saturating_add(SimDuration::from_nanos(interval_ns));
-                }
-            }
-        }
+        let mut times: Vec<SimTime> = self.storm_instants(horizon).collect();
         times.sort_unstable();
         times
+    }
+
+    /// How many instants [`FaultPlan::storm_schedule`] holds, counted
+    /// without building it.
+    #[must_use]
+    pub fn storm_count(&self, horizon: SimTime) -> usize {
+        self.storm_instants(horizon).count()
+    }
+
+    /// Each storm script's instants before `horizon`, script by script.
+    fn storm_instants(&self, horizon: SimTime) -> impl Iterator<Item = SimTime> + '_ {
+        self.scripts.iter().flat_map(move |rt| {
+            let interval_ns = match rt.script.kind {
+                FaultKind::InterruptStorm { rate_hz } if rate_hz > 0 => {
+                    1_000_000_000u64 / u64::from(rate_hz)
+                }
+                _ => 0,
+            };
+            let end = if interval_ns == 0 || rt.script.duration == SimDuration::ZERO {
+                rt.script.start
+            } else {
+                rt.script.end().min(horizon)
+            };
+            std::iter::successors(Some(rt.script.start), move |&t| {
+                Some(t.saturating_add(SimDuration::from_nanos(interval_ns)))
+            })
+            .take_while(move |&t| t < end)
+        })
     }
 
     /// Records one spurious storm interrupt actually raised.
@@ -674,6 +685,9 @@ mod tests {
         // A run that ends mid-storm keeps only the instants before its end.
         let clipped = plan.storm_schedule(SimTime::from_micros(104_500));
         assert_eq!(clipped, times[..5]);
+        assert_eq!(plan.storm_count(SimTime::MAX), 10);
+        assert_eq!(plan.storm_count(SimTime::from_micros(104_500)), 5);
+        assert_eq!(plan.storm_count(SimTime::ZERO), 0);
     }
 
     #[test]

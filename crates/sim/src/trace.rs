@@ -24,7 +24,10 @@
 //!    Labels and field names are interned into a [`Label`] through an
 //!    open-addressed FNV-1a index, so a string allocates once, the first
 //!    time it is seen; values are typed [`FieldValue`]s, not preformatted
-//!    `String`s. Rendering happens only at export time.
+//!    `String`s. Rendering happens only at export time. A hot call site
+//!    with fixed strings skips even the lookup: it interns each string
+//!    once into a slot ([`TraceLog::intern_once`]) and passes the labels
+//!    to the `_label` variants of the recording methods.
 //! 3. **Determinism.** The log is plain data driven by the simulation
 //!    clock; two identical runs produce bitwise-identical logs. Labels are
 //!    numbered in first-use order, and the intern index is only probed,
@@ -328,6 +331,10 @@ pub struct TraceLog {
     current: Option<SpanId>,
 }
 
+// A `RunResult` holds its log inline, and every buffer of results pays for
+// each byte the log adds.
+const _: () = assert!(std::mem::size_of::<TraceLog>() <= 128);
+
 impl TraceLog {
     /// Creates a disabled (zero-cost) trace.
     #[must_use]
@@ -398,6 +405,16 @@ impl TraceLog {
             return SpanId::DISABLED;
         }
         let label = self.labels.intern(label);
+        self.enter_span_label(time, kind, label)
+    }
+
+    /// [`TraceLog::enter_span`] with the name already interned, for call
+    /// sites that intern their name once (see [`TraceLog::intern_once`]).
+    #[inline]
+    pub fn enter_span_label(&mut self, time: SimTime, kind: TraceKind, label: Label) -> SpanId {
+        if !self.enabled {
+            return SpanId::DISABLED;
+        }
         let id = SpanId(self.spans.len() as u32);
         self.spans.push(Span {
             parent: self.current,
@@ -465,6 +482,15 @@ impl TraceLog {
             return;
         }
         let name = self.labels.intern(name);
+        self.span_field_label(id, name, value);
+    }
+
+    /// [`TraceLog::span_field`] with the field name already interned.
+    #[inline]
+    pub fn span_field_label(&mut self, id: SpanId, name: Label, value: FieldValue) {
+        if !self.enabled || id == SpanId::DISABLED {
+            return;
+        }
         let fields = &mut self.spans[id.0 as usize].fields;
         let run = fields.range();
         if run.end != self.fields.len() {
@@ -482,6 +508,33 @@ impl TraceLog {
             return Label(u32::MAX);
         }
         self.labels.intern(s)
+    }
+
+    /// The label `slot` holds, interning `s` into it first if it is empty:
+    /// a call site that records a fixed string keeps its label in a slot
+    /// and pays one intern lookup per log instead of one per record. A
+    /// slot belongs to one log. On a disabled log this returns a throwaway
+    /// label and leaves `slot` untouched.
+    #[inline]
+    pub fn intern_once(&mut self, slot: &mut Option<Label>, s: &str) -> Label {
+        if !self.enabled {
+            return Label(u32::MAX);
+        }
+        *slot.get_or_insert_with(|| self.labels.intern(s))
+    }
+
+    /// [`TraceLog::intern_once`] for a string that needs building: `s`
+    /// runs only when the log is enabled and `slot` is empty.
+    #[inline]
+    pub fn intern_once_with(
+        &mut self,
+        slot: &mut Option<Label>,
+        s: impl FnOnce() -> String,
+    ) -> Label {
+        if !self.enabled {
+            return Label(u32::MAX);
+        }
+        *slot.get_or_insert_with(|| self.labels.intern(&s()))
     }
 
     /// The recorded spans, in enter order. `SpanId(i)` is `spans()[i]`.
@@ -563,6 +616,24 @@ impl TraceLog {
         self.push_event(time, kind, source, start);
     }
 
+    /// [`TraceLog::event`] with the source and field names already
+    /// interned.
+    #[inline]
+    pub fn event_label(
+        &mut self,
+        time: SimTime,
+        kind: TraceKind,
+        source: Label,
+        fields: &[(Label, FieldValue)],
+    ) {
+        if !self.enabled {
+            return;
+        }
+        let start = self.fields.len() as u32;
+        self.fields.extend_from_slice(fields);
+        self.push_event(time, kind, source, start);
+    }
+
     /// Records an event with a free-text detail if enabled. Nothing is
     /// formatted; a detail seen before is not copied again.
     pub fn record(&mut self, time: SimTime, kind: TraceKind, source: &str, detail: &str) {
@@ -570,7 +641,21 @@ impl TraceLog {
             return;
         }
         let detail = self.labels.intern(detail);
-        self.event_with_msg(time, kind, source, detail);
+        let source = self.labels.intern(source);
+        self.record_label(time, kind, source, detail);
+    }
+
+    /// [`TraceLog::record`] with the source and the detail already
+    /// interned.
+    #[inline]
+    pub fn record_label(&mut self, time: SimTime, kind: TraceKind, source: Label, detail: Label) {
+        if !self.enabled {
+            return;
+        }
+        let name = self.labels.intern("msg");
+        let start = self.fields.len() as u32;
+        self.fields.push((name, FieldValue::Str(detail)));
+        self.push_event(time, kind, source, start);
     }
 
     /// Records an entry whose detail is built only when the log is enabled
@@ -587,15 +672,8 @@ impl TraceLog {
         }
         let detail = detail();
         let detail = self.labels.intern(&detail);
-        self.event_with_msg(time, kind, source, detail);
-    }
-
-    fn event_with_msg(&mut self, time: SimTime, kind: TraceKind, source: &str, msg: Label) {
         let source = self.labels.intern(source);
-        let name = self.labels.intern("msg");
-        let start = self.fields.len() as u32;
-        self.fields.push((name, FieldValue::Str(msg)));
-        self.push_event(time, kind, source, start);
+        self.record_label(time, kind, source, detail);
     }
 
     /// Appends an event whose fields are the arena's run from `start` to
@@ -850,6 +928,65 @@ mod tests {
         assert_eq!(log.intern(""), Label(500));
         assert_eq!(log.label(Label(500)), "");
         assert_eq!(log.label(Label(501)), "<unknown-label>");
+    }
+
+    /// The same recording made through the string methods and through the
+    /// label methods with `intern_once` slots: equal logs, label numbers
+    /// included.
+    #[test]
+    fn label_variants_record_what_the_string_methods_record() {
+        let mut by_str = TraceLog::enabled();
+        let mut by_label = TraceLog::enabled();
+        let mut slots = [None; 6];
+        for i in 0..3u64 {
+            let t = SimTime::from_millis(i);
+            let s = by_str.enter_span(t, TraceKind::SensorRead, "iotse_sim_tick");
+            by_str.span_field(s, "window", FieldValue::U64(i));
+            by_str.event(
+                t,
+                TraceKind::Interrupt,
+                "mcu",
+                &[("bytes", FieldValue::U64(i))],
+            );
+            by_str.record(t, TraceKind::SensorRead, "mcu", "fault: dropout");
+            by_str.record_with(t, TraceKind::SensorRead, "link", || format!("x{i}"));
+            by_str.exit_span(s, t);
+
+            let [tick, window, mcu, bytes, dropout, link] = &mut slots;
+            let l = &mut by_label;
+            let name = l.intern_once(tick, "iotse_sim_tick");
+            let s = l.enter_span_label(t, TraceKind::SensorRead, name);
+            let field = l.intern_once(window, "window");
+            l.span_field_label(s, field, FieldValue::U64(i));
+            let source = l.intern_once(mcu, "mcu");
+            let field = l.intern_once(bytes, "bytes");
+            l.event_label(
+                t,
+                TraceKind::Interrupt,
+                source,
+                &[(field, FieldValue::U64(i))],
+            );
+            let msg = l.intern_once_with(dropout, || "fault: dropout".to_string());
+            let source = l.intern_once(mcu, "mcu");
+            l.record_label(t, TraceKind::SensorRead, source, msg);
+            let msg = l.intern(&format!("x{i}"));
+            let source = l.intern_once(link, "link");
+            l.record_label(t, TraceKind::SensorRead, source, msg);
+            l.exit_span(s, t);
+        }
+        assert_eq!(by_label, by_str);
+        assert_eq!(by_label.detail(&by_label.events()[1]), "fault: dropout");
+    }
+
+    #[test]
+    fn a_disabled_log_leaves_slots_empty() {
+        let mut log = TraceLog::disabled();
+        let mut slot = None;
+        log.intern_once(&mut slot, "mcu");
+        log.intern_once_with(&mut slot, || unreachable!("built on a disabled log"));
+        assert_eq!(slot, None);
+        let span = log.enter_span_label(SimTime::ZERO, TraceKind::Scheme, Label(0));
+        assert_eq!(span, SpanId::DISABLED);
     }
 
     #[test]
