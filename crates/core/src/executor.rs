@@ -444,25 +444,41 @@ impl RecordingSize {
             cpu_segments: 4 * app_windows,
             mcu_segments: 4 * app_windows,
         };
+        let per_sample = |g: &Group| apps[g.members[0]].flow == AppFlow::PerSample;
+        let window = |g: &Group| apps[g.members[0]].window_len;
         for g in groups {
             let ticks = windows as usize * g.samples_per_window as usize;
             // Every tick records its tick and collect spans, the read event
             // and four fields (the tick's sensor and window, the read's
             // sensor and bytes). A per-sample tick adds an interrupt and a
             // transfer span, their two events and two `bytes` fields, and
-            // moves the CPU through about two phases and the MCU three; a
+            // moves the CPU through two phases (busy, then the gap); a
             // buffered or offloaded tick moves only the MCU, about once.
-            let per_sample = apps[g.members[0]].flow == AppFlow::PerSample;
-            let (spans, events, fields, cpu, mcu) = if per_sample {
-                (4, 3, 6, 2, 3)
-            } else {
-                (2, 1, 4, 0, 1)
-            };
-            size.spans += spans * ticks;
-            size.events += events * ticks;
-            size.fields += fields * ticks;
-            size.cpu_segments += cpu * ticks;
-            size.mcu_segments += mcu * ticks;
+            if !per_sample(g) {
+                size.spans += 2 * ticks;
+                size.events += ticks;
+                size.fields += 4 * ticks;
+                size.mcu_segments += ticks;
+                continue;
+            }
+            size.spans += 4 * ticks;
+            size.events += 3 * ticks;
+            size.fields += 6 * ticks;
+            size.cpu_segments += 2 * ticks;
+            // The MCU reads and raises, waits while the CPU handles the
+            // interrupt, transfers, then idles or sleeps to the next tick:
+            // four phases. The ticks of `k` per-sample groups on one grid
+            // run back to back and share the last gap, `2k + 2` phases per
+            // instant. A BEAM group shared by several apps ticks once.
+            let k = groups
+                .iter()
+                .filter(|h| {
+                    per_sample(h)
+                        && window(h) == window(g)
+                        && h.samples_per_window == g.samples_per_window
+                })
+                .count();
+            size.mcu_segments += 2 * ticks + (2 * ticks).div_ceil(k);
         }
         size
     }
@@ -1965,46 +1981,55 @@ mod tests {
         assert_eq!(not_ready, attempts);
     }
 
-    /// A demo-faulted run of two apps on the 1 kHz accelerometer (the
-    /// shape of `inspect --apps A2,A7 --faults demo`) records no more
-    /// spans, events or fields than it reserved, so no array regrows.
+    /// Two apps on the 1 kHz accelerometer (the shape of `inspect --apps
+    /// A2,A7`), with demo faults or without, record no more spans, events,
+    /// fields or CPU and MCU timeline segments than their run reserved,
+    /// so no array regrows.
     #[test]
     fn a_demo_faulted_run_stays_inside_its_reservation() {
-        let scripts = crate::robustness::demo_scripts();
-        for scheme in Scheme::ALL {
-            for seed in [42, 7] {
-                let accel = |id| {
-                    let mut app = Fake::stepish(id);
-                    app.sensors = vec![SensorUsage::periodic(SensorId::S4, 1000)];
-                    Box::new(app) as Box<dyn Workload>
-                };
-                let scenario = Scenario::new(scheme, vec![accel(AppId::A2), accel(AppId::A7)])
-                    .windows(4)
-                    .seed(seed)
-                    .faults(scripts.clone())
-                    .with_trace();
-                let mut exec = Exec::new(scenario);
-                let size = exec.recording_size(4, &scripts);
-                let mut engine = exec.schedule(4);
-                let root =
-                    exec.trace
-                        .enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_core_run");
-                engine.run(&mut exec);
-                exec.close_books(root);
-                let trace = &exec.trace;
-                // Executor spans take their fields right after opening, so
-                // no field run is ever copied: the runs fill the arena.
-                let fields: usize = trace.spans().iter().map(|s| s.fields.len()).sum::<usize>()
-                    + trace.events().iter().map(|e| e.fields.len()).sum::<usize>();
-                let case = format!("{scheme} seed {seed}");
-                assert!(trace.spans().len() <= size.spans, "{case}: spans");
-                assert!(trace.events().len() <= size.events, "{case}: events");
-                assert!(fields <= size.fields, "{case}: fields");
-                assert!(exec
-                    .faults
-                    .as_ref()
-                    .is_some_and(|p| p.stats().samples_dropped > 0));
-            }
+        let demo = crate::robustness::demo_scripts();
+        let accel = |id| {
+            let mut app = Fake::stepish(id);
+            app.sensors = vec![SensorUsage::periodic(SensorId::S4, 1000)];
+            Box::new(app) as Box<dyn Workload>
+        };
+        for (scheme, seed, faulted) in Scheme::ALL
+            .into_iter()
+            .flat_map(|s| [(s, 42, false), (s, 42, true), (s, 7, false), (s, 7, true)])
+        {
+            let scripts = if faulted { demo.clone() } else { Vec::new() };
+            let scenario = Scenario::new(scheme, vec![accel(AppId::A2), accel(AppId::A7)])
+                .windows(4)
+                .seed(seed)
+                .faults(scripts.clone())
+                .with_trace()
+                .with_timeline();
+            let mut exec = Exec::new(scenario);
+            let size = exec.recording_size(4, &scripts);
+            let mut engine = exec.schedule(4);
+            let root = exec
+                .trace
+                .enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_core_run");
+            engine.run(&mut exec);
+            exec.close_books(root);
+            let trace = &exec.trace;
+            // Executor spans take their fields right after opening, so
+            // no field run is ever copied: the runs fill the arena.
+            let fields: usize = trace.spans().iter().map(|s| s.fields.len()).sum::<usize>()
+                + trace.events().iter().map(|e| e.fields.len()).sum::<usize>();
+            let case = format!("{scheme} seed {seed} faulted {faulted}");
+            let cpu = exec.cpu.timeline().map_or(0, <[_]>::len);
+            let mcu = exec.mcu.timeline().map_or(0, <[_]>::len);
+            assert!(trace.spans().len() <= size.spans, "{case}: spans");
+            assert!(trace.events().len() <= size.events, "{case}: events");
+            assert!(fields <= size.fields, "{case}: fields");
+            assert!(cpu <= size.cpu_segments, "{case}: CPU timeline {cpu}");
+            assert!(mcu <= size.mcu_segments, "{case}: MCU timeline {mcu}");
+            let dropped = exec
+                .faults
+                .as_ref()
+                .is_some_and(|p| p.stats().samples_dropped > 0);
+            assert_eq!(dropped, faulted, "{case}");
         }
     }
 

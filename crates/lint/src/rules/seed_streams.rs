@@ -20,7 +20,9 @@
 //! `derive(..)` sites get the auditability check but are exempt from
 //! collision detection: pairing `derive(label)` (a cache key) with
 //! `stream(label)` (the generator) on one receiver is an intentional
-//! idiom in the sensor models.
+//! idiom in the sensor models. `derive_indexed(prefix, i)` derives the
+//! label `prefix` plus `i`'s digits without formatting it, so its path is
+//! the prefix followed by `{*}`, as `format!("{prefix}{i}")` would give.
 
 use std::collections::BTreeMap;
 
@@ -36,7 +38,7 @@ pub const SUMMARY: &str =
 /// Split methods that *consume* a label path (correlated if duplicated).
 const CONSUMING: &[&str] = &["stream", "streams", "child"];
 /// All audited split methods.
-const OPS: &[&str] = &["derive", "stream", "streams", "child"];
+const OPS: &[&str] = &["derive", "derive_indexed", "stream", "streams", "child"];
 
 /// Recursion bound for receiver/let tracing.
 const MAX_DEPTH: usize = 8;
@@ -176,7 +178,10 @@ impl FileText {
     /// audited statically.
     fn resolve_path(&self, site: &Site, depth: usize) -> Result<String, String> {
         let arg = self.first_arg_span(site.arg_start);
-        let label = self.label_of(arg, depth)?;
+        let mut label = self.label_of(arg, depth)?;
+        if site.op == "derive_indexed" {
+            label.push_str("{*}");
+        }
         let prefix = self.receiver_prefix(site.dot, depth);
         Ok(if prefix.is_empty() {
             label
@@ -537,6 +542,20 @@ mod tests {
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("`s-{*}`"), "{}", out[0].message);
+    }
+
+    #[test]
+    fn indexed_derivations_are_audited_like_formatted_labels() {
+        let out = run(
+            "fn f(seeds: &SeedTree, i: u64, p: &str) -> u64 {\n    let a = seeds.derive_indexed(\"frame/\", i);\n    let _r = seeds.stream(&format!(\"frame/{i}\"));\n    a ^ seeds.derive_indexed(p, i)\n}\n",
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 4);
+        assert!(
+            out[0].message.contains("`derive_indexed(..)`"),
+            "{}",
+            out[0].message
+        );
     }
 
     #[test]

@@ -156,33 +156,34 @@ impl FingerprintScanner {
     /// (±3 px, ±4 angle steps), up to 2 dropped and 2 spurious minutiae.
     #[must_use]
     pub fn scan(&mut self, person: u32) -> FingerTemplate {
-        let seeds = self.seeds;
-        let reference = self
-            .templates
+        let FingerprintScanner {
+            seeds,
+            rng,
+            templates,
+        } = self;
+        // The template stays borrowed from the scanner's map while the
+        // scan draws from the scanner's own stream.
+        let reference = templates
             .entry(person)
-            .or_insert_with(|| FingerTemplate::of_person_shared(&seeds, person))
-            .clone();
+            .or_insert_with(|| FingerTemplate::of_person_shared(seeds, person));
         // lint: each scan owns its minutiae, as the sample owns its payload
         let mut minutiae: Vec<Minutia> = Vec::with_capacity(reference.minutiae.len());
         for m in &reference.minutiae {
-            if self.rng.gen::<f64>() <= 0.06 {
+            if rng.gen::<f64>() <= 0.06 {
                 continue; // ~6% dropout
             }
             minutiae.push(Minutia {
-                x: jitter(&mut self.rng, m.x, 3),
-                y: jitter(&mut self.rng, m.y, 3),
-                angle: m
-                    .angle
-                    .wrapping_add(self.rng.gen_range(0..=8))
-                    .wrapping_sub(4),
+                x: jitter(rng, m.x, 3),
+                y: jitter(rng, m.y, 3),
+                angle: m.angle.wrapping_add(rng.gen_range(0..=8)).wrapping_sub(4),
             });
         }
-        let spurious = self.rng.gen_range(0..=2);
+        let spurious = rng.gen_range(0..=2);
         for _ in 0..spurious {
             minutiae.push(Minutia {
-                x: self.rng.gen(),
-                y: self.rng.gen(),
-                angle: self.rng.gen(),
+                x: rng.gen(),
+                y: rng.gen(),
+                angle: rng.gen(),
             });
         }
         FingerTemplate { person, minutiae }

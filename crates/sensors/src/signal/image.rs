@@ -104,8 +104,7 @@ impl ImageGenerator {
     pub fn frame(&mut self, index: u64) -> Frame {
         let cached = cache::memoized(
             "image/frame",
-            // lint: the frame's stream label, once per 24 KiB frame read
-            self.seeds.derive(&format!("frame/{index}")),
+            self.seeds.derive_indexed("frame/", index),
             cache::fingerprint(&[self.width as u64, self.height as u64, index]),
             || self.render(index),
         );
