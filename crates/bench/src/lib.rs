@@ -29,5 +29,6 @@ pub mod scenario;
 pub mod stopwatch;
 pub mod suite;
 pub mod sweeps;
+pub mod targets;
 
 pub use config::ExperimentConfig;
