@@ -6,7 +6,9 @@
 //! then decodes its own wire bytes back (the client side) to prove the
 //! exchange.
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
 
@@ -132,6 +134,10 @@ impl Workload for CoapServer {
             doc.push_str(&String::from_utf8_lossy(&round.payload));
         }
         AppOutput::Document(doc)
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

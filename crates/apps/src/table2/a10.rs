@@ -5,7 +5,9 @@
 //! its reference templates describe the same simulated fingers the sensor
 //! scans.
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::signal::fingerprint::FingerTemplate;
 use iotse_sensors::spec::SensorId;
 use iotse_sim::rng::SeedTree;
@@ -86,6 +88,10 @@ impl Workload for FingerprintRegister {
             .ok()
             .and_then(|scan| self.db.identify(&scan.minutiae));
         AppOutput::FingerMatch { matched }
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

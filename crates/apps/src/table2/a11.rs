@@ -6,7 +6,9 @@
 //! 1.43 GB — which is precisely why admission control refuses to offload
 //! it (§IV-E3).
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
 
@@ -111,6 +113,10 @@ impl Workload for SpeechToText {
             // lint: the word list is the returned AppOutput
             .collect();
         AppOutput::Words(words)
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

@@ -3,7 +3,9 @@
 //! The paper's running example: 1000 accelerometer samples per second fed
 //! to a step-detection algorithm (§II-B, Figures 5/7/8/9).
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
 
@@ -73,6 +75,10 @@ impl Workload for StepCounter {
                 .filter_map(|s| s.value.as_triple()),
         );
         AppOutput::Steps(count_steps(samples, &self.config))
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

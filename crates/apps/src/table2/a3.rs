@@ -5,7 +5,9 @@
 //! the work the paper says makes A3 one of the two apps COM slows down
 //! (0.45 ms on the CPU vs 7 ms on the MCU).
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
 
@@ -77,6 +79,10 @@ impl Workload for ArduinoJson {
         let parsed = Json::parse(&text).expect("own output parses");
         assert_eq!(parsed, doc, "JSON round-trip must be lossless");
         AppOutput::Document(text)
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

@@ -7,7 +7,9 @@
 
 use std::fmt::Write as _;
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::signal::image::LOW_RES;
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
@@ -206,6 +208,10 @@ impl Workload for Blynk {
         // lint: one trailer line per window, part of the returned document
         lines.push(format!("frames={} wire_bytes={wire_total}", frames.len()));
         AppOutput::Document(lines.join("\n"))
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

@@ -5,7 +5,9 @@
 //! deduplication — the real delta-sync mechanism, so repeated content costs
 //! no upload.
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
 
@@ -84,6 +86,10 @@ impl Workload for DropboxManager {
             report.uploaded_bytes,
             self.store.len(),
         ))
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

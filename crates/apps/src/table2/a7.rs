@@ -5,7 +5,9 @@
 //! computation also "confirms whether an actual earthquake happened" — the
 //! confirmation round-trip is folded into its larger compute time.
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
 
@@ -75,6 +77,10 @@ impl Workload for EarthquakeDetection {
         AppOutput::Quake {
             detected: self.detector.process_window(samples),
         }
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

@@ -5,7 +5,9 @@
 //! compute-hungry light-weight app (108.8 MIPS) — and one of the two
 //! (with A3) that COM *slows down* in Figure 13.
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
 
@@ -77,6 +79,10 @@ impl Workload for HeartbeatIrregularity {
             beats: summary.beats,
             irregular: summary.irregular,
         }
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

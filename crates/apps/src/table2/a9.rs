@@ -8,7 +8,9 @@
 //! live in workload-owned [`Scratch`] lanes, so after the first window the
 //! whole encode/decode round-trip runs without heap allocation.
 
-use iotse_core::workload::{AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
+use iotse_core::workload::{
+    identity_fingerprint, AppId, AppOutput, ResourceProfile, SensorUsage, WindowData, Workload,
+};
 use iotse_sensors::signal::image::LOW_RES;
 use iotse_sensors::spec::SensorId;
 use iotse_sim::time::SimDuration;
@@ -104,6 +106,10 @@ impl Workload for JpegDecoder {
         AppOutput::ImageQuality {
             psnr_db: jpeg::psnr(luma, decoded),
         }
+    }
+
+    fn fingerprint(&self) -> Option<u128> {
+        Some(identity_fingerprint(self.id(), self.memo_salt()))
     }
 }
 

@@ -81,7 +81,10 @@ pub struct Table2 {
 /// reading the executor's counters.
 #[must_use]
 pub fn table2(cfg: &ExperimentConfig) -> Table2 {
-    let one_window = ExperimentConfig { windows: 1, ..*cfg };
+    let one_window = ExperimentConfig {
+        windows: 1,
+        ..cfg.clone()
+    };
     let results = one_window.run_fleet(
         AppId::ALL
             .iter()

@@ -18,6 +18,7 @@ use iotse_energy::attribution::{Device, EnergyLedger, Routine};
 use iotse_energy::stacks::exact_residual;
 use iotse_sensors::faults::{apply as apply_sample_fault, SampleFault};
 use iotse_sensors::reading::{SampleValue, SensorSample};
+use iotse_sensors::signal::cache::Fingerprint128;
 use iotse_sensors::spec::SensorId;
 use iotse_sensors::world::{PhysicalWorld, WorldConfig};
 use iotse_sim::engine::Engine;
@@ -207,6 +208,55 @@ impl Scenario {
     pub fn without_compute_cache(mut self) -> Self {
         self.compute_cache = false;
         self
+    }
+
+    /// A 128-bit key for this scenario's [`RunResult`], so a run memo can
+    /// run each distinct scenario once and replay its result.
+    ///
+    /// `None` unless the scenario is plain: the default world, the paper
+    /// calibration, no fault scripts, no timeline, trace, metrics or
+    /// telemetry recording, and every app with a
+    /// [`Workload::fingerprint`]. A plain scenario's key folds the scheme,
+    /// window count, seed, compute-cache flag and the apps' fingerprints in
+    /// order. Every field is named below, so a new field does not compile
+    /// until it is either folded or ruled out.
+    #[must_use]
+    pub fn fingerprint(&self) -> Option<u128> {
+        let Scenario {
+            apps,
+            scheme,
+            windows,
+            seed,
+            world,
+            cal,
+            record_timeline,
+            trace,
+            metrics,
+            telemetry,
+            compute_cache,
+            faults,
+        } = self;
+        let recording = *record_timeline || *trace || *metrics || telemetry.is_some();
+        if recording
+            || !faults.is_empty()
+            || *world != WorldConfig::default()
+            || *cal != Calibration::paper()
+        {
+            return None;
+        }
+        let mut h = Fingerprint128::new();
+        h.push_all(&[
+            *scheme as u64,
+            u64::from(*windows),
+            *seed,
+            u64::from(*compute_cache),
+            apps.len() as u64,
+        ]);
+        for app in apps {
+            let app = app.fingerprint()?;
+            h.push_all(&[app as u64, (app >> 64) as u64]);
+        }
+        Some(h.finish())
     }
 
     /// Runs the scenario to completion.

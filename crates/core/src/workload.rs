@@ -314,6 +314,31 @@ pub trait Workload: Send {
     fn memo_salt(&self) -> u128 {
         0
     }
+    /// A 128-bit key for everything this instance does in a run: its
+    /// window, sensor usages, resource profile and the outputs
+    /// [`Workload::compute`] gives from its construction on. Two instances
+    /// with equal fingerprints must be interchangeable in any scenario, so
+    /// a run memo may hand one's result to the other (see
+    /// `Scenario::fingerprint`).
+    ///
+    /// Defaults to `None` — the safe answer, which makes every scenario
+    /// holding the workload run afresh. A decorator that changes any of the
+    /// above (a scaled compute time, say) must keep `None` or fold its own
+    /// configuration in; the Table II apps return
+    /// [`identity_fingerprint`] of their id and [`Workload::memo_salt`].
+    fn fingerprint(&self) -> Option<u128> {
+        None
+    }
+}
+
+/// The fingerprint of a workload whose whole behaviour follows from its
+/// Table II identity and its memo salt, as a freshly built catalog app's
+/// does.
+#[must_use]
+pub fn identity_fingerprint(id: AppId, salt: u128) -> u128 {
+    let mut h = iotse_sensors::signal::cache::Fingerprint128::new();
+    h.push_all(&[id as u64, salt as u64, (salt >> 64) as u64]);
+    h.finish()
 }
 
 /// Wire bytes one window moves in Baseline (the Table II "Sensor Data"

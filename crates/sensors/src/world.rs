@@ -23,7 +23,7 @@ use crate::signal::seismic::{Quake, SeismicGenerator};
 use crate::spec::SensorId;
 
 /// Configuration of the physical phenomena of one scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// How far ahead beat/utterance schedules are generated.
     pub horizon: SimTime,
