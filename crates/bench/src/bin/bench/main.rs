@@ -5,8 +5,9 @@
 //!     [--section NAME] [--out PATH] [--check PATH]
 //! ```
 //!
-//! Runs the nine suite sections (executor, queue, kernel, fleet, overhead,
-//! compute_cache, robustness, telemetry, scenarios), prints a table, and
+//! Runs the ten suite sections (executor, queue, kernel, fleet, overhead,
+//! compute_cache, robustness, telemetry, scenarios, figures), prints a
+//! table, and
 //! optionally writes the
 //! stable-schema JSON report (`--out`) or gates the deterministic counters
 //! against a committed baseline (`--check`, exact match required; wall

@@ -1,6 +1,6 @@
 //! The deterministic microbenchmark suite behind the `bench` binary.
 //!
-//! Nine sections, mirroring the questions the ROADMAP's "fast as the
+//! Ten sections, mirroring the questions the ROADMAP's "fast as the
 //! hardware allows" goal keeps asking:
 //!
 //! * **executor** — full-scenario event throughput per scheme (the
@@ -30,6 +30,10 @@
 //!   fleet, with exact-gated grading counters (`scenarios_run`,
 //!   `expectations_evaluated`, `expectations_failed` — the last pinned at
 //!   0: a failing committed scenario is a regression by definition).
+//! * **figures** — every target of `figures all` then `figures sweeps` at
+//!   the quick configuration through one run memo, with exact-gated
+//!   `scenarios_run` (scenarios actually run) and `cache_hits` (results
+//!   the memo replayed).
 //!
 //! Every case reports wall time (advisory) plus the deterministic cost
 //! counters of [`crate::report`]. Heap counting needs the `bench` binary's
@@ -96,7 +100,7 @@ fn record_run(out: &mut Counters, result: &RunResult) {
 /// One benchmarkable case.
 pub struct Case {
     /// Suite section (`executor`, `queue`, `kernel`, `fleet`, `overhead`,
-    /// `compute_cache`, `robustness`, `telemetry`, `scenarios`).
+    /// `compute_cache`, `robustness`, `telemetry`, `scenarios`, `figures`).
     pub section: &'static str,
     /// Workload label.
     pub workload: String,
@@ -378,6 +382,31 @@ pub fn cases() -> Vec<Case> {
         }),
     });
 
+    // (j) The figures command: every target of `figures all` then
+    // `figures sweeps` at the quick configuration, rendered through one
+    // fresh configuration, so its run memo spans the targets as one
+    // invocation's does. `scenarios_run` counts the scenarios run and
+    // `cache_hits` the results the memo replayed; repeats are found before
+    // dispatch, so neither depends on the fleet's width.
+    out.push(Case {
+        section: "figures",
+        workload: "all+sweeps".into(),
+        scheme: "quick".into(),
+        count_allocs: true,
+        run: Box::new(|out| {
+            let cfg = crate::config::ExperimentConfig::quick();
+            for target in crate::targets::ALL
+                .into_iter()
+                .chain(crate::targets::SWEEPS)
+            {
+                std::hint::black_box(crate::targets::render(target, &cfg, false));
+            }
+            let memo = cfg.memo.stats();
+            out.add("scenarios_run", memo.runs);
+            out.add("cache_hits", memo.hits);
+        }),
+    });
+
     out
 }
 
@@ -535,6 +564,7 @@ mod tests {
             Scheme::ALL.len()
         );
         assert_eq!(cases.iter().filter(|c| c.section == "scenarios").count(), 1);
+        assert_eq!(cases.iter().filter(|c| c.section == "figures").count(), 1);
         // Case ids are unique — the baseline gate matches on them.
         let mut ids: Vec<String> = cases
             .iter()
