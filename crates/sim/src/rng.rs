@@ -856,6 +856,51 @@ mod tests {
     }
 
     #[test]
+    fn the_top_layers_hold_their_normal_mass() {
+        // A wedge accepts under f at heights between f(x[i]) and
+        // f(x[i + 1]). Drawing the height from a wider interval
+        // over-accepts next to each layer's right edge, and most, relative
+        // to the mass there, in the top layers: up to 14 % of the mass
+        // between x[2] and x[1]. So χ² runs over bins at the layer edges
+        // x[1] … x[TOP + 1], plus one bin for the tail beyond x[1] and one
+        // for everything inside x[TOP + 1]; 10⁷ draws, since only about
+        // 0.7 % of them land in these top layers.
+        const TOP: usize = 16;
+        let n = 10_000_000;
+        let mut counts = [0.0f64; TOP + 2];
+        let mut rng = SimRng::seed_from_u64(0x21C6_0F1A);
+        for _ in 0..n {
+            let a = rng.standard_normal().abs();
+            let bin = if a < ZIG_X[TOP + 1] {
+                TOP + 1
+            } else {
+                // Bin i (1 ≤ i ≤ TOP) holds x[i + 1] ≤ |z| < x[i]; bin 0
+                // the tail.
+                (1..=TOP).rev().find(|&i| a < ZIG_X[i]).unwrap_or(0)
+            };
+            counts[bin] += 1.0;
+        }
+        let expected = |bin: usize| {
+            2.0 * match bin {
+                0 => normal_mass(ZIG_X[1], 40.0),
+                b if b <= TOP => normal_mass(ZIG_X[b + 1], ZIG_X[b]),
+                _ => normal_mass(0.0, ZIG_X[TOP + 1]),
+            } * f64::from(n)
+        };
+        let chi: f64 = counts
+            .iter()
+            .enumerate()
+            .map(|(bin, &seen)| (seen - expected(bin)).powi(2) / expected(bin))
+            .sum();
+        // χ²(17): mean 17, standard deviation √34 ≈ 5.8.
+        let dof = (TOP + 1) as f64;
+        assert!(
+            chi < dof + 5.0 * (2.0 * dof).sqrt(),
+            "χ² {chi} over the top layers"
+        );
+    }
+
+    #[test]
     fn the_normal_tail_has_the_conditional_mean_of_the_tail() {
         // E[Z | Z > R] = φ(R) / P(Z > R).
         let r = ZIG_X[1];
