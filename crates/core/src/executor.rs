@@ -982,9 +982,11 @@ impl Exec {
         if !self.trace.is_enabled() {
             return;
         }
+        // lint: tracing only: `settle` returned above when the log is off
         let total = self.ledger.total().as_microjoules();
         let delta = total - self.assigned;
         if delta > 0.0 {
+            // lint: tracing only, as above
             self.trace.charge_span(span, delta);
             self.assigned += delta;
         }
@@ -1313,6 +1315,7 @@ impl Exec {
         let mut wire_bytes = bytes;
         if let Some(plan) = &mut self.faults {
             if let Some(release) = plan.partition_release(ready) {
+                // lint: fault-plan hook: runs only inside a scripted partition
                 self.trace.record(
                     ready,
                     TraceKind::DataTransfer,

@@ -246,6 +246,7 @@ impl TelemetryState {
                 self.alerts.push(Alert {
                     at: rec.at,
                     window: rec.window,
+                    // lint: runs only when a detector raises a drift alert
                     series: stack_series_name(*routine),
                     kind: AlertKind::Drift(drift),
                 });

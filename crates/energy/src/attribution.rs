@@ -31,6 +31,7 @@ impl Device {
     pub const ALL: [Device; 4] = [Device::Cpu, Device::Mcu, Device::Link, Device::Sensor];
 
     /// Position in [`Device::ALL`]: the ledger's row.
+    #[inline]
     fn index(self) -> usize {
         match self {
             Device::Cpu => 0,
@@ -92,6 +93,7 @@ impl Routine {
     ];
 
     /// Position in [`Routine::ALL`]: the ledger's column.
+    #[inline]
     fn index(self) -> usize {
         match self {
             Routine::DataCollection => 0,
@@ -151,6 +153,7 @@ impl EnergyLedger {
     /// # Panics
     ///
     /// Panics if `energy` is negative — energy only ever accumulates.
+    #[inline]
     pub fn charge(&mut self, device: Device, routine: Routine, energy: Energy) {
         assert!(
             energy.as_microjoules() >= 0.0,
@@ -161,6 +164,7 @@ impl EnergyLedger {
 
     /// Energy in one cell.
     #[must_use]
+    #[inline]
     pub fn cell(&self, device: Device, routine: Routine) -> Energy {
         self.cells[device.index()][routine.index()].unwrap_or(Energy::ZERO)
     }
@@ -311,6 +315,7 @@ impl Breakdown {
 
 impl std::ops::Add for Breakdown {
     type Output = Breakdown;
+    #[inline]
     fn add(self, rhs: Breakdown) -> Breakdown {
         Breakdown {
             data_collection: self.data_collection + rhs.data_collection,

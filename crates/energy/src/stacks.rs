@@ -130,6 +130,7 @@ impl EnergyStacks {
     }
 
     /// The next unrecorded boundary, or `None` once all windows closed.
+    #[inline]
     fn next_boundary(&self) -> Option<SimTime> {
         (self.recorded < self.windows)
             .then(|| SimTime::ZERO + self.base * u64::from(self.recorded + 1))
@@ -137,8 +138,10 @@ impl EnergyStacks {
 
     /// Records the next window iff `now` has reached its boundary.
     /// Allocation-free; called from the executor's tick hot path.
+    #[inline]
     pub fn try_roll(&mut self, now: SimTime, ledger: &EnergyLedger) -> Option<RecordedWindow> {
         let at = self.next_boundary().filter(|&b| now >= b)?;
+        // lint: once per telemetry window, not once per tick
         Some(self.record(at, ledger, false))
     }
 

@@ -48,6 +48,7 @@ impl Power {
     ///
     /// Panics if `mw` is NaN.
     #[must_use]
+    #[inline]
     pub fn from_milliwatts(mw: f64) -> Self {
         assert!(!mw.is_nan(), "power must not be NaN");
         Power(mw)
@@ -59,24 +60,28 @@ impl Power {
     ///
     /// Panics if `w` is NaN.
     #[must_use]
+    #[inline]
     pub fn from_watts(w: f64) -> Self {
         Self::from_milliwatts(w * 1e3)
     }
 
     /// The power in milliwatts.
     #[must_use]
+    #[inline]
     pub fn as_milliwatts(self) -> f64 {
         self.0
     }
 
     /// The power in watts.
     #[must_use]
+    #[inline]
     pub fn as_watts(self) -> f64 {
         self.0 / 1e3
     }
 
     /// `true` if exactly zero.
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
@@ -92,6 +97,7 @@ impl Energy {
     ///
     /// Panics if `uj` is NaN.
     #[must_use]
+    #[inline]
     pub fn from_microjoules(uj: f64) -> Self {
         assert!(!uj.is_nan(), "energy must not be NaN");
         Energy(uj)
@@ -103,6 +109,7 @@ impl Energy {
     ///
     /// Panics if `mj` is NaN.
     #[must_use]
+    #[inline]
     pub fn from_millijoules(mj: f64) -> Self {
         Self::from_microjoules(mj * 1e3)
     }
@@ -113,24 +120,28 @@ impl Energy {
     ///
     /// Panics if `j` is NaN.
     #[must_use]
+    #[inline]
     pub fn from_joules(j: f64) -> Self {
         Self::from_microjoules(j * 1e6)
     }
 
     /// The energy in microjoules.
     #[must_use]
+    #[inline]
     pub fn as_microjoules(self) -> f64 {
         self.0
     }
 
     /// The energy in millijoules.
     #[must_use]
+    #[inline]
     pub fn as_millijoules(self) -> f64 {
         self.0 / 1e3
     }
 
     /// The energy in joules.
     #[must_use]
+    #[inline]
     pub fn as_joules(self) -> f64 {
         self.0 / 1e6
     }
@@ -140,6 +151,7 @@ impl Energy {
     /// Returns 0 when `other` is zero (used for normalizing empty
     /// breakdowns).
     #[must_use]
+    #[inline]
     pub fn ratio_of(self, other: Energy) -> f64 {
         if other.0 == 0.0 {
             0.0
@@ -150,6 +162,7 @@ impl Energy {
 
     /// `true` if exactly zero.
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
@@ -160,6 +173,7 @@ impl Energy {
     ///
     /// Panics if `span` is zero.
     #[must_use]
+    #[inline]
     pub fn over(self, span: SimDuration) -> Power {
         assert!(!span.is_zero(), "cannot average energy over a zero span");
         Power::from_milliwatts(self.as_millijoules() / span.as_secs_f64())
@@ -168,6 +182,7 @@ impl Energy {
 
 impl Mul<SimDuration> for Power {
     type Output = Energy;
+    #[inline]
     fn mul(self, d: SimDuration) -> Energy {
         // mW × s = mJ; stored in µJ.
         Energy::from_millijoules(self.0 * d.as_secs_f64())
@@ -176,6 +191,7 @@ impl Mul<SimDuration> for Power {
 
 impl Mul<Power> for SimDuration {
     type Output = Energy;
+    #[inline]
     fn mul(self, p: Power) -> Energy {
         p * self
     }
@@ -183,35 +199,41 @@ impl Mul<Power> for SimDuration {
 
 impl Add for Power {
     type Output = Power;
+    #[inline]
     fn add(self, rhs: Power) -> Power {
         Power(self.0 + rhs.0)
     }
 }
 impl AddAssign for Power {
+    #[inline]
     fn add_assign(&mut self, rhs: Power) {
         self.0 += rhs.0;
     }
 }
 impl Sub for Power {
     type Output = Power;
+    #[inline]
     fn sub(self, rhs: Power) -> Power {
         Power(self.0 - rhs.0)
     }
 }
 impl Mul<f64> for Power {
     type Output = Power;
+    #[inline]
     fn mul(self, k: f64) -> Power {
         Power(self.0 * k)
     }
 }
 impl Div<f64> for Power {
     type Output = Power;
+    #[inline]
     fn div(self, k: f64) -> Power {
         Power(self.0 / k)
     }
 }
 impl Neg for Power {
     type Output = Power;
+    #[inline]
     fn neg(self) -> Power {
         Power(-self.0)
     }
@@ -224,34 +246,40 @@ impl Sum for Power {
 
 impl Add for Energy {
     type Output = Energy;
+    #[inline]
     fn add(self, rhs: Energy) -> Energy {
         Energy(self.0 + rhs.0)
     }
 }
 impl AddAssign for Energy {
+    #[inline]
     fn add_assign(&mut self, rhs: Energy) {
         self.0 += rhs.0;
     }
 }
 impl Sub for Energy {
     type Output = Energy;
+    #[inline]
     fn sub(self, rhs: Energy) -> Energy {
         Energy(self.0 - rhs.0)
     }
 }
 impl SubAssign for Energy {
+    #[inline]
     fn sub_assign(&mut self, rhs: Energy) {
         self.0 -= rhs.0;
     }
 }
 impl Mul<f64> for Energy {
     type Output = Energy;
+    #[inline]
     fn mul(self, k: f64) -> Energy {
         Energy(self.0 * k)
     }
 }
 impl Div<f64> for Energy {
     type Output = Energy;
+    #[inline]
     fn div(self, k: f64) -> Energy {
         Energy(self.0 / k)
     }

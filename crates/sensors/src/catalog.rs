@@ -10,12 +10,14 @@ use iotse_sim::time::SimDuration;
 use crate::bus::BusKind;
 use crate::spec::{PayloadKind, SensorId, SensorSpec};
 
+#[inline]
 fn mw(x: f64) -> Power {
     Power::from_milliwatts(x)
 }
 
 /// S1 — BMP280 digital pressure (barometer) sensor.
 #[must_use]
+#[inline]
 pub fn barometer() -> SensorSpec {
     SensorSpec {
         id: SensorId::S1,
@@ -34,6 +36,7 @@ pub fn barometer() -> SensorSpec {
 
 /// S2 — BMP180 temperature sensor.
 #[must_use]
+#[inline]
 pub fn temperature() -> SensorSpec {
     SensorSpec {
         id: SensorId::S2,
@@ -52,6 +55,7 @@ pub fn temperature() -> SensorSpec {
 
 /// S3 — Adafruit optical fingerprint sensor (single-shot).
 #[must_use]
+#[inline]
 pub fn fingerprint() -> SensorSpec {
     SensorSpec {
         id: SensorId::S3,
@@ -70,6 +74,7 @@ pub fn fingerprint() -> SensorSpec {
 
 /// S4 — ADXL335 3-axis accelerometer.
 #[must_use]
+#[inline]
 pub fn accelerometer() -> SensorSpec {
     SensorSpec {
         id: SensorId::S4,
@@ -88,6 +93,7 @@ pub fn accelerometer() -> SensorSpec {
 
 /// S5 — ultra-low-power digital gas (air-quality) sensor.
 #[must_use]
+#[inline]
 pub fn air_quality() -> SensorSpec {
     SensorSpec {
         id: SensorId::S5,
@@ -106,6 +112,7 @@ pub fn air_quality() -> SensorSpec {
 
 /// S6 — pulse (heart-rate) sensor.
 #[must_use]
+#[inline]
 pub fn pulse() -> SensorSpec {
     SensorSpec {
         id: SensorId::S6,
@@ -124,6 +131,7 @@ pub fn pulse() -> SensorSpec {
 
 /// S7 — BH1750-style digital ambient light sensor.
 #[must_use]
+#[inline]
 pub fn light() -> SensorSpec {
     SensorSpec {
         id: SensorId::S7,
@@ -142,6 +150,7 @@ pub fn light() -> SensorSpec {
 
 /// S8 — Grove sound sensor.
 #[must_use]
+#[inline]
 pub fn sound() -> SensorSpec {
     SensorSpec {
         id: SensorId::S8,
@@ -160,6 +169,7 @@ pub fn sound() -> SensorSpec {
 
 /// S9 — PING ultrasonic distance sensor.
 #[must_use]
+#[inline]
 pub fn distance() -> SensorSpec {
     SensorSpec {
         id: SensorId::S9,
@@ -178,6 +188,7 @@ pub fn distance() -> SensorSpec {
 
 /// S10 — ArduCAM mini low-resolution image sensor (MCU-friendly).
 #[must_use]
+#[inline]
 pub fn low_res_image() -> SensorSpec {
     SensorSpec {
         id: SensorId::S10,
@@ -197,6 +208,7 @@ pub fn low_res_image() -> SensorSpec {
 /// S10(hi) — Sony 8.51 MP high-resolution image sensor, the table's one
 /// MCU-**unfriendly** sensor.
 #[must_use]
+#[inline]
 pub fn high_res_image() -> SensorSpec {
     SensorSpec {
         id: SensorId::S10Hi,
@@ -226,6 +238,7 @@ pub fn high_res_image() -> SensorSpec {
 /// assert_eq!(s4.sample_bytes(), 12);
 /// ```
 #[must_use]
+#[inline]
 pub fn spec(id: SensorId) -> SensorSpec {
     match id {
         SensorId::S1 => barometer(),

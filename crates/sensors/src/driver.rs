@@ -19,6 +19,7 @@ pub const ADC_SCALE: f64 = 1e4;
 /// a genuine read does. Fault injection reuses this so a noise-perturbed
 /// value is still a value the ADC could have produced.
 #[must_use]
+#[inline]
 pub fn quantize(x: f64) -> f64 {
     let counts = (x * ADC_SCALE).round();
     let counts = counts.clamp(f64::from(i32::MIN), f64::from(i32::MAX));

@@ -27,6 +27,7 @@ pub enum Quantity {
 impl Quantity {
     /// `(mean, reversion-rate 1/s, volatility per √s, min, max)`.
     #[must_use]
+    #[inline]
     pub fn parameters(self) -> (f64, f64, f64, f64, f64) {
         match self {
             Quantity::PressureHpa => (1013.25, 0.01, 0.5, 950.0, 1060.0),
@@ -86,6 +87,7 @@ impl EnvironmentGenerator {
     /// # Panics
     ///
     /// Panics if `t` precedes an earlier sample.
+    #[inline]
     pub fn sample_scalar(&mut self, t: SimTime) -> f64 {
         let (mean, rate, vol, min, max) = self.quantity.parameters();
         let dt = match self.last_t {

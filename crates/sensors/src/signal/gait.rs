@@ -25,6 +25,7 @@ const BOB_LEAD_TURNS: f64 = 0.7 / (2.0 * PI);
 /// sine taken there by its Taylor polynomial through `x¹⁵`: the first
 /// omitted term bounds the error by `(π/2)¹⁷/17! < 7·10⁻¹²`, far below
 /// the ADC's `10⁻⁴` step.
+#[inline]
 fn sin_turns(t: f64) -> f64 {
     // Adding and subtracting 1.5·2⁵² rounds to the nearest integer, and
     // `t − k` is exact: both are multiples of `t`'s ulp.
@@ -146,6 +147,7 @@ impl GaitGenerator {
     }
 
     /// The noiseless vertical step waveform at time `t_s` (seconds).
+    #[inline]
     fn step_pulse(&self, t_s: f64) -> f64 {
         let period = 1.0 / self.profile.cadence_hz;
         let phase = (t_s / period).fract(); // position within the stride
@@ -163,6 +165,7 @@ impl GaitGenerator {
     }
 
     /// One 3-axis reading in m/s².
+    #[inline]
     pub fn sample_triple(&mut self, t: SimTime) -> [f64; 3] {
         let ts = t.as_secs_f64();
         let p = self.profile;

@@ -27,6 +27,7 @@ pub struct Quake {
 impl Quake {
     /// `true` if `t` falls inside the event window.
     #[must_use]
+    #[inline]
     pub fn contains(&self, t: SimTime) -> bool {
         t >= self.onset && t < self.onset + self.duration
     }
@@ -102,6 +103,7 @@ impl SeismicGenerator {
             .count()
     }
 
+    #[inline]
     fn noise(&self, t: SimTime, axis: u64) -> f64 {
         // Deterministic pure-function noise: hash (seed, t, axis).
         let mut h = self.seed ^ t.as_nanos().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (axis << 61);
@@ -114,6 +116,7 @@ impl SeismicGenerator {
 
     /// The 3-axis ground acceleration at `t`, m/s² (z includes gravity).
     #[must_use]
+    #[inline]
     pub fn value_at(&self, t: SimTime) -> [f64; 3] {
         let mut x = self.noise(t, 0);
         let mut y = self.noise(t, 1);

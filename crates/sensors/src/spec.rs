@@ -48,6 +48,7 @@ impl SensorId {
     /// (S1 is slot 0, S4 slot 3, …). [`SensorId::S10Hi`] shares S10's row
     /// and therefore its slot — a fault on the camera hits both framings.
     #[must_use]
+    #[inline]
     pub fn slot(self) -> u16 {
         match self {
             SensorId::S1 => 0,

@@ -140,6 +140,7 @@ impl PhysicalWorld {
     /// fault layer before the world is asked. The `Result` with an
     /// uninhabited error type keeps existing `.is_ok()`/`?` call sites
     /// compiling; destructure it with `let Ok(sample) = …`.
+    #[inline]
     pub fn read(&mut self, id: SensorId, t: SimTime) -> Result<SensorSample, Infallible> {
         let slot = usize::from(id.slot());
         let seq = self.seq[slot];
@@ -152,6 +153,7 @@ impl PhysicalWorld {
                 // Scans cycle through the enrolled people; the remainder is
                 // below a `u32` modulus, so the cast is exact.
                 let person = (seq % u64::from(self.config.enrolled_people.max(1))) as u32;
+                // lint: a scan allocates its template and encoding; the call is noise beside them
                 SampleValue::Bytes(self.scanner.scan(person).encode())
             }
             SensorId::S4 => {
@@ -165,10 +167,13 @@ impl PhysicalWorld {
                 ])
             }
             SensorId::S5 => scalar(self.env[2].sample_scalar(t)),
+            // lint: a beat search and a dozen cosines per read outweigh the call
             SensorId::S6 => scalar(self.ecg.value_at(t)),
             SensorId::S7 => scalar(self.env[3].sample_scalar(t)),
+            // lint: an utterance scan and two sines per read outweigh the call
             SensorId::S8 => scalar(self.audio.value_at(t)),
             SensorId::S9 => scalar(self.env[4].sample_scalar(t)),
+            // lint: each frame read copies 24 KiB; the call is noise beside it
             SensorId::S10 | SensorId::S10Hi => SampleValue::Bytes(self.camera.frame(seq).pixels),
         };
         Ok(SensorSample {

@@ -68,6 +68,7 @@ impl SimRng {
 
     /// The next raw 64-bit draw (xoshiro256++).
     #[must_use]
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
@@ -121,6 +122,7 @@ impl SimRng {
     /// `R ≈ 3.654`, from further draws. The layer tables are constants,
     /// so a generator carries no state beyond its four words.
     #[must_use]
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
         loop {
             let bits = self.next_u64();
@@ -132,6 +134,7 @@ impl SimRng {
                 return x;
             }
             if i == 0 {
+                // lint: the tail layer: about one draw in 4 000 lands here
                 return self.normal_tail(u < 0.0);
             }
             let y = ZIG_F[i + 1] + (ZIG_F[i] - ZIG_F[i + 1]) * self.gen::<f64>();
@@ -196,6 +199,7 @@ impl Sample for bool {
 }
 
 impl Sample for f64 {
+    #[inline]
     fn sample(rng: &mut SimRng) -> Self {
         // 53 high bits → [0, 1) with full double precision.
         (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
@@ -273,6 +277,7 @@ macro_rules! impl_range_sint {
 impl_range_sint!(i8 => u8, i16 => u16, i32 => u32, i64 => u64, isize => usize);
 
 impl SampleRange<f64> for Range<f64> {
+    #[inline]
     fn sample(self, rng: &mut SimRng) -> f64 {
         assert!(self.start < self.end, "empty range");
         let u: f64 = rng.gen();

@@ -46,54 +46,63 @@ impl SimTime {
 
     /// Creates an instant `nanos` nanoseconds after simulation start.
     #[must_use]
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
     }
 
     /// Creates an instant `micros` microseconds after simulation start.
     #[must_use]
+    #[inline]
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros * 1_000)
     }
 
     /// Creates an instant `millis` milliseconds after simulation start.
     #[must_use]
+    #[inline]
     pub const fn from_millis(millis: u64) -> Self {
         SimTime(millis * 1_000_000)
     }
 
     /// Creates an instant `secs` seconds after simulation start.
     #[must_use]
+    #[inline]
     pub const fn from_secs(secs: u64) -> Self {
         SimTime(secs * 1_000_000_000)
     }
 
     /// Nanoseconds since simulation start.
     #[must_use]
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Microseconds since simulation start, truncated.
     #[must_use]
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
     }
 
     /// Milliseconds since simulation start, truncated.
     #[must_use]
+    #[inline]
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
     }
 
     /// Seconds since simulation start as a float (lossy for > 2^53 ns).
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Milliseconds since simulation start as a float.
     #[must_use]
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -105,6 +114,7 @@ impl SimTime {
     /// Panics if `earlier` is later than `self` (simulated time never runs
     /// backwards, so this indicates a scheduling bug).
     #[must_use]
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         match self.0.checked_sub(earlier.0) {
             Some(d) => SimDuration(d),
@@ -115,30 +125,35 @@ impl SimTime {
 
     /// The span from `earlier` to `self`, or zero if `earlier` is later.
     #[must_use]
+    #[inline]
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Adds a duration, returning `None` on overflow.
     #[must_use]
+    #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
 
     /// Adds a duration, clamping at [`SimTime::MAX`].
     #[must_use]
+    #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
 
     /// The later of two instants.
     #[must_use]
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
     #[must_use]
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -152,24 +167,28 @@ impl SimDuration {
 
     /// Creates a span of `nanos` nanoseconds.
     #[must_use]
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimDuration(nanos)
     }
 
     /// Creates a span of `micros` microseconds.
     #[must_use]
+    #[inline]
     pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros * 1_000)
     }
 
     /// Creates a span of `millis` milliseconds.
     #[must_use]
+    #[inline]
     pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * 1_000_000)
     }
 
     /// Creates a span of `secs` seconds.
     #[must_use]
+    #[inline]
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1_000_000_000)
     }
@@ -181,6 +200,7 @@ impl SimDuration {
     ///
     /// Panics if `secs` is negative, non-finite, or too large to represent.
     #[must_use]
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -198,6 +218,7 @@ impl SimDuration {
     ///
     /// Panics if `millis` is negative, non-finite, or too large to represent.
     #[must_use]
+    #[inline]
     pub fn from_millis_f64(millis: f64) -> Self {
         Self::from_secs_f64(millis / 1e3)
     }
@@ -209,60 +230,70 @@ impl SimDuration {
     ///
     /// Panics if `micros` is negative, non-finite, or too large to represent.
     #[must_use]
+    #[inline]
     pub fn from_micros_f64(micros: f64) -> Self {
         Self::from_secs_f64(micros / 1e6)
     }
 
     /// The span in whole nanoseconds.
     #[must_use]
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// The span in whole microseconds, truncated.
     #[must_use]
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
     }
 
     /// The span in whole milliseconds, truncated.
     #[must_use]
+    #[inline]
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
     }
 
     /// The span in fractional seconds.
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// The span in fractional milliseconds.
     #[must_use]
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// `true` if the span is zero.
     #[must_use]
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Adds two spans, returning `None` on overflow.
     #[must_use]
+    #[inline]
     pub fn checked_add(self, other: SimDuration) -> Option<SimDuration> {
         self.0.checked_add(other.0).map(SimDuration)
     }
 
     /// Adds two spans, clamping at [`SimDuration::MAX`].
     #[must_use]
+    #[inline]
     pub fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
     }
 
     /// Subtracts, clamping at zero.
     #[must_use]
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -274,18 +305,21 @@ impl SimDuration {
     ///
     /// Panics if `factor` is negative, non-finite, or the result overflows.
     #[must_use]
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         Self::from_secs_f64(self.as_secs_f64() * factor)
     }
 
     /// The larger of two spans.
     #[must_use]
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// The smaller of two spans.
     #[must_use]
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
@@ -293,6 +327,7 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -304,6 +339,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -311,6 +347,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -323,6 +360,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.duration_since(rhs)
     }
@@ -330,6 +368,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         // iotse-lint: allow(IOTSE-E04) overflow is a simulation bug; std::time panics too
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
@@ -337,6 +376,7 @@ impl Add for SimDuration {
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -344,6 +384,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         // iotse-lint: allow(IOTSE-E04) underflow is a simulation bug; std::time panics too
         SimDuration(self.0.checked_sub(rhs.0).expect("duration underflow"))
@@ -351,6 +392,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -358,6 +400,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         // iotse-lint: allow(IOTSE-E04) overflow is a simulation bug; std::time panics too
         SimDuration(self.0.checked_mul(rhs).expect("duration overflow"))
@@ -366,6 +409,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

@@ -353,6 +353,7 @@ impl TraceLog {
 
     /// `true` if spans and events are being kept.
     #[must_use]
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -439,6 +440,7 @@ impl TraceLog {
     ///
     /// Panics if `id` is not the innermost open span, or if `time` precedes
     /// its enter time (both are recording bugs, not data conditions).
+    #[inline]
     pub fn exit_span(&mut self, id: SpanId, time: SimTime) {
         if !self.enabled || id == SpanId::DISABLED {
             return;
@@ -520,6 +522,7 @@ impl TraceLog {
         if !self.enabled {
             return Label(u32::MAX);
         }
+        // lint: fills the slot once per log; every later call reads it
         *slot.get_or_insert_with(|| self.labels.intern(s))
     }
 
@@ -534,6 +537,7 @@ impl TraceLog {
         if !self.enabled {
             return Label(u32::MAX);
         }
+        // lint: fills the slot once per log; every later call reads it
         *slot.get_or_insert_with(|| self.labels.intern(&s()))
     }
 
@@ -652,6 +656,7 @@ impl TraceLog {
         if !self.enabled {
             return;
         }
+        // lint: recording only; a label search outweighs the call
         let name = self.labels.intern("msg");
         let start = self.fields.len() as u32;
         self.fields.push((name, FieldValue::Str(detail)));
@@ -678,6 +683,7 @@ impl TraceLog {
 
     /// Appends an event whose fields are the arena's run from `start` to
     /// its end.
+    #[inline]
     fn push_event(&mut self, time: SimTime, kind: TraceKind, source: Label, start: u32) {
         self.events.push(TraceEvent {
             time,
