@@ -25,10 +25,16 @@ pub struct CallSite {
     pub callee: FnId,
     /// 1-based line of the call.
     pub line: usize,
+    /// `true` when the call names exactly one workspace function by its
+    /// path, a `self` receiver or a typed `self.field` receiver: a real
+    /// call, not a fan-out guess over same-named methods (a fan-out with
+    /// one candidate is still a guess: `xs.iter()` may be `std`'s).
+    pub unique: bool,
 }
 
-/// Adjacency list, indexed by caller [`FnId`]. Sites keep body order
-/// (deduplicated per callee), which makes witness paths deterministic.
+/// Adjacency list, indexed by caller [`FnId`]. Sites keep body order, one
+/// per call and candidate callee, which makes witness paths deterministic
+/// and lets a rule judge each call of a callee on its own line.
 #[derive(Debug)]
 pub struct CallGraph {
     /// `calls[caller]` — resolved call sites in source order.
@@ -84,7 +90,6 @@ fn edges_of(syms: &Symbols<'_>, id: FnId) -> Vec<CallSite> {
     let body = unit.parsed.body_tokens(syms.item(id));
     let self_ty = info.owner_ty.as_deref();
     let mut sites: Vec<CallSite> = Vec::new();
-    let mut seen: Vec<FnId> = Vec::new();
     for (k, tok) in body.iter().enumerate() {
         if !tok.ident || KEYWORDS.contains(&tok.text.as_str()) {
             continue;
@@ -97,7 +102,7 @@ fn edges_of(syms: &Symbols<'_>, id: FnId) -> Vec<CallSite> {
                 .and_then(|j| body.get(j))
                 .map_or("", |t| t.text.as_str())
         };
-        let targets = if prev(1) == "." {
+        let (targets, pinned) = if prev(1) == "." {
             // Method call. A `self.field.name(..)` receiver with a
             // recorded field type is TRUSTED: the declared type is
             // authoritative, so a `std` receiver (`BinaryHeap`, `Vec`, …)
@@ -110,19 +115,22 @@ fn edges_of(syms: &Symbols<'_>, id: FnId) -> Vec<CallSite> {
             if prev(3) == "." && prev(4) == "self" && syms.fns[id].owner_ty.is_some() {
                 let field_ty = self_ty.and_then(|ty| syms.field_type(ty, prev(2)));
                 match field_ty {
-                    Some(ty) => syms.resolve_qualified(&info.crate_name, &ty, &tok.text, None),
-                    None => fan_out(syms, &info.crate_name, &tok.text),
+                    Some(ty) => (
+                        syms.resolve_qualified(&info.crate_name, &ty, &tok.text, None),
+                        true,
+                    ),
+                    None => (fan_out(syms, &info.crate_name, &tok.text), false),
                 }
             } else if prev(2) == "self" {
                 let pinned = self_ty
                     .map(|ty| syms.resolve_qualified(&info.crate_name, ty, &tok.text, None))
                     .filter(|ids| !ids.is_empty());
                 match pinned {
-                    Some(ids) => ids,
-                    None => fan_out(syms, &info.crate_name, &tok.text),
+                    Some(ids) => (ids, true),
+                    None => (fan_out(syms, &info.crate_name, &tok.text), false),
                 }
             } else {
-                fan_out(syms, &info.crate_name, &tok.text)
+                (fan_out(syms, &info.crate_name, &tok.text), false)
             }
         } else if prev(1) == ":" && prev(2) == ":" {
             let qual = prev(3);
@@ -132,24 +140,22 @@ fn edges_of(syms: &Symbols<'_>, id: FnId) -> Vec<CallSite> {
                     .next()
                     .is_some_and(|c| c.is_alphanumeric() || c == '_')
             {
-                Vec::new()
+                (Vec::new(), false)
             } else {
-                syms.resolve_qualified(&info.crate_name, qual, &tok.text, self_ty)
+                let ids = syms.resolve_qualified(&info.crate_name, qual, &tok.text, self_ty);
+                (ids, true)
             }
         } else if prev(1) == "fn" {
-            Vec::new() // nested definition, not a call
+            (Vec::new(), false) // nested definition, not a call
         } else {
-            syms.resolve_bare(&info.crate_name, &tok.text)
+            (syms.resolve_bare(&info.crate_name, &tok.text), true)
         };
-        for callee in targets {
-            if !seen.contains(&callee) {
-                seen.push(callee);
-                sites.push(CallSite {
-                    callee,
-                    line: tok.line,
-                });
-            }
-        }
+        let unique = pinned && targets.len() == 1;
+        sites.extend(targets.into_iter().map(|callee| CallSite {
+            callee,
+            line: tok.line,
+            unique,
+        }));
     }
     sites
 }

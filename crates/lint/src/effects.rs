@@ -102,9 +102,6 @@ const AMBIENT_METHODS: &[&str] = &[
     "lock",
 ];
 
-/// The K10 justification marker, honored for ALLOC sites.
-const JUSTIFY: &str = "lint:";
-
 impl Effects {
     /// Detects local effects and closes them over the call graph.
     #[must_use]
@@ -217,10 +214,6 @@ fn local_effects(syms: &Symbols<'_>, id: FnId, static_muts: &BTreeSet<String>) -
             what: "RNG core primitive".to_string(),
         });
     }
-    let justified = |line: usize| {
-        let check = |idx: usize| src.comments.get(idx).is_some_and(|c| c.contains(JUSTIFY));
-        check(line - 1) || (line >= 2 && check(line - 2))
-    };
     let body = syms.units[info.file].parsed.body_tokens(item);
     for (k, tok) in body.iter().enumerate() {
         if !tok.ident {
@@ -268,15 +261,18 @@ fn local_effects(syms: &Symbols<'_>, id: FnId, static_muts: &BTreeSet<String>) -
             // No paren check: `or_insert_with(BTreeMap::new)` passes the
             // constructor as a value and still allocates when invoked.
             let assoc = next(m);
-            if matches!(assoc, "new" | "with_capacity" | "from") && !justified(tok.line) {
+            if matches!(assoc, "new" | "with_capacity" | "from") && !src.is_justified(tok.line) {
                 push(ALLOC, format!("{name}::{assoc}(..)"));
             }
         }
         // ALLOC — allocating macros and methods.
-        if ALLOC_MACROS.contains(&name) && next(1) == "!" && !justified(tok.line) {
+        if ALLOC_MACROS.contains(&name) && next(1) == "!" && !src.is_justified(tok.line) {
             push(ALLOC, format!("{name}!(..)"));
         }
-        if ALLOC_METHODS.contains(&name) && prev(1) == "." && next(1) == "(" && !justified(tok.line)
+        if ALLOC_METHODS.contains(&name)
+            && prev(1) == "."
+            && next(1) == "("
+            && !src.is_justified(tok.line)
         {
             push(ALLOC, format!(".{name}(..)"));
         }

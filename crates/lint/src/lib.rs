@@ -196,6 +196,7 @@ pub fn check_files(root: &Path, mut files: Vec<SourceFile>) -> Vec<Finding> {
     rules::memo_purity::check(&analysis, &mut findings);
     rules::seed_streams::check(&files, &mut findings);
     rules::hot_path::check(&analysis, &mut findings);
+    rules::inline_path::check(&analysis, &mut findings);
 
     let by_path: std::collections::BTreeMap<&str, &SourceFile> =
         files.iter().map(|f| (f.rel_path.as_str(), f)).collect();

@@ -93,6 +93,10 @@ pub struct ImplBlock {
     pub trait_name: Option<String>,
     /// 1-based line of the `impl`/`trait` keyword.
     pub line: usize,
+    /// `true` when the block declares a type or const parameter (or is a
+    /// `trait`, whose default bodies are instantiated per implementor), so
+    /// its methods are compiled in each caller's crate.
+    pub generic: bool,
 }
 
 /// A parsed function with a body.
@@ -123,6 +127,12 @@ pub struct FnItem {
     /// `true` when a `// iotse-lint: hot-path` marker sits directly above
     /// the item (above its attributes/doc comments).
     pub hot_path: bool,
+    /// `true` when the item carries `#[inline]` or `#[inline(always)]`.
+    pub inline: bool,
+    /// `true` when the function declares a type or const parameter, takes
+    /// an argument-position `impl Trait`, or sits in a generic
+    /// [`ImplBlock`]: it is compiled in each caller's crate.
+    pub generic: bool,
 }
 
 /// A non-function item (for doc coverage and field typing).
@@ -189,6 +199,7 @@ impl ParsedFile {
             impls: &mut impls,
             items: &mut items,
             fields: &mut fields,
+            pending_inline: false,
         };
         p.items_until_close(None, true, false);
         ParsedFile {
@@ -218,6 +229,34 @@ struct Parser<'a> {
     impls: &'a mut Vec<ImplBlock>,
     items: &'a mut Vec<ItemDecl>,
     fields: &'a mut Vec<FieldDecl>,
+    /// Set by an `#[inline]`/`#[inline(always)]` attribute, taken by the
+    /// item that follows it.
+    pending_inline: bool,
+}
+
+/// `true` when a generic parameter list (`<` through `>`) declares a type
+/// or const parameter; a list of lifetimes alone is not generic code.
+fn declares_type_params(generics: &[Token]) -> bool {
+    let mut depth = 0usize;
+    let mut param_start = false;
+    for t in generics {
+        match t.text.as_str() {
+            "<" => {
+                depth += 1;
+                param_start = depth == 1;
+                continue;
+            }
+            ">" => depth = depth.saturating_sub(1),
+            "," if depth == 1 => {
+                param_start = true;
+                continue;
+            }
+            text if param_start && text != "'" => return true,
+            _ => {}
+        }
+        param_start = false;
+    }
+    false
 }
 
 impl Parser<'_> {
@@ -302,13 +341,25 @@ impl Parser<'_> {
     }
 
     /// Skips one attribute (`#[…]` or `#![…]`); current token is `#`.
+    /// An `#[inline]` or `#[inline(always)]` marks the next item inline.
     fn consume_attribute(&mut self) {
         self.bump();
         if self.peek_text() == "!" {
             self.bump();
         }
         if self.peek_text() == "[" {
+            let start = self.i;
             self.consume_balanced('[', ']');
+            let text: Vec<&str> = self.toks[start..self.i]
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect();
+            if matches!(
+                text.as_slice(),
+                ["[", "inline", "]"] | ["[", "inline", "(", "always", ")", "]"]
+            ) {
+                self.pending_inline = true;
+            }
         }
     }
 
@@ -360,6 +411,7 @@ impl Parser<'_> {
                 self.consume_attribute();
                 continue;
             }
+            let inline = std::mem::take(&mut self.pending_inline);
             let vis = self.parse_vis();
             // Modifier keywords that may precede `fn`.
             let mut k = self.i;
@@ -383,7 +435,7 @@ impl Parser<'_> {
             match kw.as_str() {
                 "fn" => {
                     self.i = k;
-                    self.parse_fn(owner, vis, mods_public && !in_body);
+                    self.parse_fn(owner, vis, mods_public && !in_body, inline);
                 }
                 "impl" => {
                     self.i = k;
@@ -437,7 +489,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_fn(&mut self, owner: Option<usize>, vis: Vis, public_path: bool) {
+    fn parse_fn(&mut self, owner: Option<usize>, vis: Vis, public_path: bool, inline: bool) {
         let fn_line = self.toks[self.i].line;
         let sig_start = self.i;
         self.bump(); // fn
@@ -447,11 +499,16 @@ impl Parser<'_> {
         }
         let name = name_tok.text.clone();
         self.bump();
+        let mut generic = owner.is_some_and(|o| self.impls[o].generic);
         if self.peek_text() == "<" {
+            let start = self.i;
             self.consume_generics();
+            generic |= declares_type_params(&self.toks[start..self.i]);
         }
         if self.peek_text() == "(" {
+            let start = self.i;
             self.consume_balanced('(', ')');
+            generic |= self.toks[start..self.i].iter().any(|t| t.text == "impl");
         }
         // Return type / where clause: run to the body `{` or a `;`.
         loop {
@@ -477,6 +534,8 @@ impl Parser<'_> {
         let body_lines = (self.toks[body_start].line, self.toks[body_end].line);
         self.fns.push(FnItem {
             hot_path: self.hot_marker_above(fn_line),
+            inline,
+            generic,
             name,
             line: fn_line,
             sig,
@@ -511,7 +570,7 @@ impl Parser<'_> {
                     .unwrap_or_default();
                 if prev != ":" && prev != "dyn" && prev != "impl" && prev != "&" {
                     let save_len = self.fns.len();
-                    self.parse_fn(owner, Vis::Private, false);
+                    self.parse_fn(owner, Vis::Private, false, false);
                     if self.fns.len() > save_len {
                         continue;
                     }
@@ -524,8 +583,11 @@ impl Parser<'_> {
     fn parse_impl(&mut self, mods_public: bool, in_body: bool) {
         let line = self.toks[self.i].line;
         self.bump(); // impl
+        let mut generic = false;
         if self.peek_text() == "<" {
+            let start = self.i;
             self.consume_generics();
+            generic = declares_type_params(&self.toks[start..self.i]);
         }
         // Header tokens up to `{`, split on a top-level `for`.
         let mut before_for: Vec<String> = Vec::new();
@@ -575,6 +637,7 @@ impl Parser<'_> {
             ty: ty.unwrap_or_default(),
             trait_name,
             line,
+            generic,
         });
         if self.peek_text() == "{" {
             self.bump();
@@ -612,6 +675,7 @@ impl Parser<'_> {
                 ty: name,
                 trait_name: None,
                 line,
+                generic: true,
             });
             self.bump();
             self.items_until_close(Some(idx), mods_public, in_body);
@@ -883,6 +947,20 @@ mod tests {
         assert_eq!(p.fields[0].name, "seeds");
         assert_eq!(p.fields[0].ty, "SeedTree");
         assert!(p.fields[1].ty.contains("Vec"));
+    }
+
+    #[test]
+    fn inline_attributes_and_generic_code_are_recorded() {
+        let p = parse(
+            "#[inline]\n#[must_use]\nfn a() {}\n#[inline(always)]\nfn b() {}\n#[inline(never)]\nfn c() {}\nfn d<'a>(x: &'a u8) {}\nfn e<T>(x: T) {}\nfn f(x: impl Copy) {}\nimpl<T> W<T> {\n    fn g(&self) {}\n}\nimpl<'a> V<'a> {\n    fn h(&self) {}\n}\n",
+        );
+        let get = |n: &str| p.fns.iter().find(|f| f.name == n).expect(n);
+        let inline: Vec<bool> = ["a", "b", "c", "d"].map(|n| get(n).inline).to_vec();
+        assert_eq!(inline, [true, true, false, false]);
+        let generic: Vec<bool> = ["a", "d", "e", "f", "g", "h"]
+            .map(|n| get(n).generic)
+            .to_vec();
+        assert_eq!(generic, [false, false, true, true, true, false]);
     }
 
     #[test]

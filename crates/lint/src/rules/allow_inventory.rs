@@ -14,9 +14,6 @@ pub const ID: &str = "IOTSE-A07";
 pub const SUMMARY: &str =
     "every #[allow(...)] attribute must carry a `// lint:` justification comment";
 
-/// The justification marker looked up in the comments view.
-const JUSTIFY: &str = "lint:";
-
 /// Runs the rule over one file (tests included — suppressions hide real
 /// warnings there just as easily).
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
@@ -25,8 +22,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
         if !(line.contains("#[allow(") || line.contains("#![allow(")) {
             continue;
         }
-        let justified = |idx: usize| file.comments.get(idx).is_some_and(|c| c.contains(JUSTIFY));
-        if justified(i) || (i > 0 && justified(i - 1)) {
+        if file.is_justified(lineno) {
             continue;
         }
         out.push(Finding::new(

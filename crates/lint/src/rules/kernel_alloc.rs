@@ -22,9 +22,6 @@ pub const SUMMARY: &str =
 /// The directory whose library code the rule guards.
 const KERNELS_DIR: &str = "crates/apps/src/kernels/";
 
-/// The justification marker looked up in the comments view.
-const JUSTIFY: &str = "lint:";
-
 /// Runs the rule over one file.
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     if file.kind == FileKind::Test || !file.rel_path.starts_with(KERNELS_DIR) {
@@ -45,8 +42,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
         let Some(what) = hit else {
             continue;
         };
-        let justified = |idx: usize| file.comments.get(idx).is_some_and(|c| c.contains(JUSTIFY));
-        if justified(i) || (i > 0 && justified(i - 1)) {
+        if file.is_justified(lineno) {
             continue;
         }
         out.push(Finding::new(

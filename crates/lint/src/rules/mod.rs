@@ -6,7 +6,7 @@
 //! joins sources against `specs/table1.toml`; the scenario-corpus audit
 //! ([`scenario_files`]) reads `scenarios/*.toml` off the root directly;
 //! the call-graph rules
-//! ([`memo_purity`], [`seed_streams`], [`hot_path`]) take the
+//! ([`memo_purity`], [`seed_streams`], [`hot_path`], [`inline_path`]) take the
 //! [`crate::Analysis`] built from the symbol-table/effect pipeline.
 //!
 //! | ID | rule |
@@ -25,6 +25,7 @@
 //! | `IOTSE-S12` | `SeedTree` split labels must be auditable and disjoint |
 //! | `IOTSE-H13` | hot-path functions must be transitively allocation-free |
 //! | `IOTSE-F14` | scenario corpus files must pass `ScenarioSpec::parse` |
+//! | `IOTSE-I15` | unit operators and cross-crate hot-path callees must be `#[inline]` |
 //!
 //! [`SourceFile`]: crate::scan::SourceFile
 
@@ -34,6 +35,7 @@ pub mod casts;
 pub mod doc_coverage;
 pub mod hash_iter;
 pub mod hot_path;
+pub mod inline_path;
 pub mod kernel_alloc;
 pub mod memo_purity;
 pub mod metric_names;
@@ -65,6 +67,7 @@ pub const ALL: &[(&str, &str)] = &[
     (seed_streams::ID, seed_streams::SUMMARY),
     (hot_path::ID, hot_path::SUMMARY),
     (scenario_files::ID, scenario_files::SUMMARY),
+    (inline_path::ID, inline_path::SUMMARY),
 ];
 
 /// `(id, kind, rationale)` — the catalogue detail behind `rules
@@ -141,6 +144,11 @@ pub const DETAILS: &[(&str, &str, &str)] = &[
         "workspace audit",
         "every `scenarios/*.toml` must pass `iotse_core::scenario_spec::ScenarioSpec::parse`, the grammar's only definition — sections, keys, explicit seeds, weights, app, scheme, sensor, fault and expectation names, value ranges — so a malformed corpus file fails lint, at the line of its first error, before the slower `scenario check` sweep runs it.",
     ),
+    (
+        "IOTSE-I15",
+        "call graph",
+        "with no LTO, a non-generic function is inlined into another crate only if it carries `#[inline]` (rustc's automatic cross-crate inlining takes small leaf functions alone, and a body that calls `expect` or `assert!` is not a leaf); the rule requires it on every `Add`/`Sub`/`Mul`/`Div`/`Neg`/`*Assign` method in `iotse-sim`, `iotse-energy` and `iotse-sensors`, and on every function of another crate that a `// iotse-lint: hot-path` function reaches through call edges resolving to one callee, descending through its own crate and through inlinable or generic callees. A call that only runs off the per-tick path is waived at the call with `// lint: <reason>`.",
+    ),
 ];
 
 /// Renders the rule catalogue as the markdown document committed at
@@ -182,7 +190,9 @@ pub fn catalogue_markdown() -> String {
          the finding's line or the line above it. Allocation rules\n\
          (`IOTSE-K10`, `IOTSE-H13`) additionally accept a `// lint: <reason>`\n\
          justification at the allocation site itself, which waives the site\n\
-         for every caller; `IOTSE-A07` keeps the `#[allow]` inventory honest\n\
+         for every caller; `IOTSE-I15` accepts the same justification at a\n\
+         call site, which waives that call and everything below it;\n\
+         `IOTSE-A07` keeps the `#[allow]` inventory honest\n\
          the same way. Hot paths are declared with `// iotse-lint: hot-path`\n\
          above the function (attributes and doc comments may sit between).\n",
     );

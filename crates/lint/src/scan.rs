@@ -94,7 +94,23 @@ impl SourceFile {
         };
         hit(line) || (line > 1 && hit(line - 1))
     }
+
+    /// `true` if a `// lint: <reason>` justification sits on `line`
+    /// (1-based) or on the line directly above it.
+    #[must_use]
+    pub fn is_justified(&self, line: usize) -> bool {
+        let hit = |l: usize| {
+            self.comments
+                .get(l.wrapping_sub(1))
+                .is_some_and(|c| c.contains(JUSTIFY))
+        };
+        hit(line) || (line > 1 && hit(line - 1))
+    }
 }
+
+/// The justification marker of the allocation, `#[allow]` and inlining
+/// rules, looked up in the comments view.
+const JUSTIFY: &str = "lint:";
 
 /// Byte classification produced by the lexer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
