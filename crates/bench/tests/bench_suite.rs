@@ -15,11 +15,13 @@ fn out_path(tag: &str) -> PathBuf {
 }
 
 /// Runs the suite binary with `--quick` (same counters as the full budget,
-/// smaller stopwatch loops) and parses the report it writes.
-fn run_suite(tag: &str, jobs: &str) -> BenchReport {
+/// smaller stopwatch loops) and `args`, and parses the report it writes.
+fn run_suite(tag: &str, args: &[&str]) -> BenchReport {
     let path = out_path(tag);
     let status = Command::new(env!("CARGO_BIN_EXE_bench"))
-        .args(["--quick", "--jobs", jobs, "--out"])
+        .arg("--quick")
+        .args(args)
+        .arg("--out")
         .arg(&path)
         .status()
         .expect("bench binary launches");
@@ -39,14 +41,14 @@ fn counters(r: &BenchReport) -> Vec<(String, Counters)> {
 
 #[test]
 fn counters_are_identical_across_runs_and_prewarm_jobs() {
-    let first = run_suite("first", "1");
-    let second = run_suite("second", "1");
+    let first = run_suite("first", &["--jobs", "1"]);
+    let second = run_suite("second", &["--jobs", "1"]);
     assert_eq!(
         counters(&first),
         counters(&second),
         "back-to-back runs drifted"
     );
-    let parallel = run_suite("jobs8", "8");
+    let parallel = run_suite("jobs8", &["--jobs", "8"]);
     assert_eq!(
         counters(&first),
         counters(&parallel),
@@ -60,8 +62,8 @@ fn compute_cache_section_reports_exact_hit_rates() {
     // In the suite binary the compute_cache cases own the whole process,
     // so the from-clear hit/miss counters are exact: 2 windows x 2
     // memoizable apps miss once under the first scheme and hit under the
-    // remaining four.
-    let report = run_suite("cache", "1");
+    // remaining four. The section runs alone: the test reads no other.
+    let report = run_suite("cache", &["--jobs", "1", "--section", "compute_cache"]);
     let on = report
         .entry("compute_cache/5-schemes-A4+A9/on")
         .expect("cache-on case present");
