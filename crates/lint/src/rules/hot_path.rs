@@ -91,4 +91,17 @@ mod tests {
         );
         assert!(out.is_empty(), "{out:?}");
     }
+
+    #[test]
+    fn iotse_lint_markers_do_not_justify_an_allocation() {
+        // An allow marker for another rule, and the hot-path marker of a
+        // one-line fn, both sit right above an allocation; neither is a
+        // `// lint:` justification.
+        let out = run(
+            "// iotse-lint: hot-path\nfn tick() {\n    // iotse-lint: allow(IOTSE-E04)\n    let v: Vec<u8> = Vec::new();\n    drop(v);\n}\n// iotse-lint: hot-path\nfn tock() { drop(Vec::<u8>::with_capacity(4)); }\n",
+        );
+        let lines: Vec<usize> = out.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2, 8], "{out:?}");
+        assert!(out.iter().all(|f| f.rule == ID));
+    }
 }
