@@ -22,6 +22,7 @@ use iotse_bench::config::ExperimentConfig;
 use iotse_bench::csv;
 use iotse_bench::figures::{fig01, fig09, tables};
 use iotse_bench::targets;
+use iotse_sim::hash::{fnv1a, FNV_OFFSET};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -64,15 +65,6 @@ fn table2_csv_matches_golden() {
     check("table2.csv", &csv::table2_csv(&tables::table2(&cfg())));
 }
 
-/// FNV-1a 64 over `bytes`, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// One line per `figures all sweeps` target and seed: the FNV-1a digest of
 /// the text the `figures` binary prints for it. Every target at both seeds
 /// renders through configurations made from one, as `figures all sweeps`
@@ -90,7 +82,7 @@ fn figure_digests() -> String {
             let text = targets::render(target, &cfg, false)
                 .expect("a listed target")
                 .text;
-            let h = fnv1a(0xcbf2_9ce4_8422_2325, text.as_bytes());
+            let h = fnv1a(FNV_OFFSET, text.as_bytes());
             out.push_str(&format!(
                 "seed {seed} {target} bytes {} digest {h:016x}\n",
                 text.len()
@@ -145,7 +137,7 @@ fn sensor_digests() -> String {
         };
         let mut world = PhysicalWorld::new(&SeedTree::new(seed), config);
         for (sensor, interval_us, instants, per_instant) in SCHEDULE {
-            let mut h = 0xcbf2_9ce4_8422_2325;
+            let mut h = FNV_OFFSET;
             for k in 0..instants {
                 let t = SimTime::ZERO + SimDuration::from_micros(k * interval_us);
                 for _ in 0..per_instant {

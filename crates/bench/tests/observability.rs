@@ -17,6 +17,7 @@ use std::path::PathBuf;
 
 use iotse_bench::inspect::{inspect, InspectFormat, InspectRequest};
 use iotse_core::{AppId, Scheme};
+use iotse_sim::hash::{fnv1a, FNV_OFFSET};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -168,13 +169,6 @@ fn folded_nanojoules_sum_to_ledger_total() {
     }
 }
 
-/// FNV-1a 64 over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// One digest per (scheme, faults, format) on A2+A7: every scheme's span
 /// structure, settle order and exporter bytes, with and without the demo
 /// fault storm. The full dumps above pin one scheme; these pin all five
@@ -200,7 +194,7 @@ fn inspect_scheme_digests_match_golden() {
                 out.push_str(&format!(
                     "{scheme} faults={label} {} {:016x}\n",
                     format.name(),
-                    fnv1a64(text.as_bytes())
+                    fnv1a(FNV_OFFSET, text.as_bytes())
                 ));
             }
         }

@@ -69,6 +69,7 @@
 use std::fmt;
 
 use iotse_sim::faults::{FaultKind, FaultScript};
+use iotse_sim::hash::{fnv1a, FNV_OFFSET};
 use iotse_sim::time::{SimDuration, SimTime};
 
 use crate::executor::Scenario;
@@ -898,15 +899,6 @@ impl SpecReport {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(acc: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(acc, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
 /// FNV-1a 64 over every kernel output of `results`, in submission order.
 /// Each output folds as a `run|app|window|output` line so reorderings and
 /// omissions cannot collide with the original.
@@ -920,7 +912,7 @@ pub fn output_checksum(results: &[RunResult]) -> u64 {
             for w in &app.windows {
                 line.clear();
                 let _ = writeln!(line, "{i}|{}|{}|{}", app.id, w.window, w.output);
-                acc = fnv_fold(acc, line.as_bytes());
+                acc = fnv1a(acc, line.as_bytes());
             }
         }
     }

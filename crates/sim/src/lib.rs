@@ -19,6 +19,8 @@
 //!   EWMA/CUSUM drift detectors and budget watchdogs (the windowed
 //!   telemetry layer's storage and alerting primitives).
 //! * [`rng`] — label-addressed deterministic RNG streams.
+//! * [`hash`] — FNV-1a 64, the one byte-string hash behind seed
+//!   derivation, trace interning and the corpus's output checksum.
 //!
 //! # Examples
 //!
@@ -53,6 +55,7 @@
 
 pub mod engine;
 pub mod faults;
+pub mod hash;
 pub mod metrics;
 pub mod queue;
 pub mod rng;

@@ -17,6 +17,8 @@
 
 use std::ops::{Range, RangeInclusive};
 
+use crate::hash::{fnv1a, FNV_OFFSET};
+
 /// One round of the SplitMix64 mixing function.
 #[must_use]
 fn splitmix64(mut z: u64) -> u64 {
@@ -326,18 +328,6 @@ fn uniform_u64(rng: &mut SimRng, bound: u64) -> u64 {
             return (m >> 64) as u64;
         }
     }
-}
-
-/// The FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a 64 over `bytes`, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Right edges of the 256 ziggurat layers under `f(x) = exp(−x²/2)`, from

@@ -40,6 +40,7 @@
 
 use std::fmt;
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::time::SimTime;
 
 /// The kind of a trace entry. Categories mirror the paper's four sub-tasks
@@ -224,13 +225,6 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// full.
 const INDEX_MIN: usize = 64;
 
-/// 64-bit FNV-1a over the string's bytes: the intern index's hash.
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// The interned-string table: each label's one owned copy, numbered in
 /// first-use order, and an open-addressed index over their FNV-1a hashes
 /// that maps a string to its number.
@@ -246,7 +240,7 @@ impl LabelTable {
     /// The slot that holds `s`, or the free slot where it belongs.
     fn probe(&self, s: &str) -> usize {
         let mask = self.index.len() - 1;
-        let mut slot = fnv1a(s) as usize & mask;
+        let mut slot = fnv1a(FNV_OFFSET, s.as_bytes()) as usize & mask;
         loop {
             let i = self.index[slot];
             if i == EMPTY_SLOT || self.strings[i as usize] == s {
