@@ -2,8 +2,8 @@
 //!
 //! One module per table and figure of *"Understanding Energy Efficiency in
 //! IoT App Executions"* (ICDCS 2019). Each returns a typed result that the
-//! `figures` binary renders, the Criterion benches time, and the tests
-//! compare against the paper's numbers.
+//! `figures` binary renders, the `bench` suite gates by its deterministic
+//! counters, and the tests compare against the paper's numbers.
 //!
 //! # Examples
 //!

@@ -1,9 +1,9 @@
-//! The bench suite's stable report schema (`BENCH_6.json`).
+//! The bench suite's stable report schema (`BENCH_7.json`).
 //!
 //! One [`BenchEntry`] per measured case: `(section, workload, scheme)`
-//! identifies the case; `wall_ns_*` carry the stopwatch timing; and a
-//! sparse name→`u64` [`Counters`] map carries the **deterministic cost
-//! counters** — `events`, `bus_bytes`, `allocs`, `alloc_bytes`,
+//! identifies the case; `wall_ns` carries one advisory wall-time sample;
+//! and a sparse name→`u64` [`Counters`] map carries the **deterministic
+//! cost counters** — `events`, `bus_bytes`, `allocs`, `alloc_bytes`,
 //! `cache_hits`, `cache_misses`, `faults_injected`, `samples_dropped`,
 //! `bytes_corrupted`, `alerts_fired`, `series_points`, `detector_evals`,
 //! `scenarios_run`, `expectations_evaluated`, `expectations_failed`.
@@ -21,7 +21,11 @@
 //! key, adding columns as sections arrived; v6 writes only the nonzero
 //! counters, and since every non-header key is a counter and a missing
 //! one reads as 0, files of every version parse the same way and a new
-//! counter needs no schema bump.
+//! counter needs no schema bump. v1–v6 timed each case median-of-k
+//! (`wall_ns_median`, `wall_ns_min`, `wall_ns_max`, `iters`); v7 times
+//! the counted run once (`wall_ns`). An older file's median reads as its
+//! `wall_ns`, and its other three timing keys are skipped, never read as
+//! counters.
 //!
 //! Serialization is hand-rolled JSON over the in-tree [`Json`] kernel — the
 //! same std-only discipline as the Chrome-trace and Prometheus exporters —
@@ -33,7 +37,7 @@ use std::borrow::Cow;
 use iotse_apps::kernels::json::Json;
 
 /// Version tag written into every report; bump on schema changes.
-pub const SCHEMA_VERSION: u64 = 6;
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Deterministic cost counters by name, sorted by name. Zero values are
 /// never stored, so a counter that measured 0 and one a file never
@@ -87,23 +91,19 @@ pub struct BenchEntry {
     pub workload: String,
     /// Scheme label (`baseline`…, `jobs-4`, `kernel`, `instrumented`).
     pub scheme: String,
-    /// Median wall time per iteration, nanoseconds. Advisory only.
-    pub wall_ns_median: u64,
-    /// Fastest iteration, nanoseconds. Advisory only.
-    pub wall_ns_min: u64,
-    /// Slowest iteration, nanoseconds. Advisory only.
-    pub wall_ns_max: u64,
-    /// Timed iterations behind the median.
-    pub iters: u64,
+    /// Wall time of the counted run, nanoseconds. Advisory only.
+    pub wall_ns: u64,
     /// The deterministic cost counters of one run (see the module docs).
     pub counters: Counters,
 }
 
-/// The keys of an entry that are not counters.
-const HEADER: [&str; 7] = [
+/// The keys of an entry that are not counters: v7's header, then the
+/// timing keys of v1–v6.
+const HEADER: [&str; 8] = [
     "section",
     "workload",
     "scheme",
+    "wall_ns",
     "wall_ns_median",
     "wall_ns_min",
     "wall_ns_max",
@@ -122,10 +122,7 @@ impl BenchEntry {
             ("section", Json::String(self.section.clone())),
             ("workload", Json::String(self.workload.clone())),
             ("scheme", Json::String(self.scheme.clone())),
-            ("wall_ns_median", from_u64(self.wall_ns_median)),
-            ("wall_ns_min", from_u64(self.wall_ns_min)),
-            ("wall_ns_max", from_u64(self.wall_ns_max)),
-            ("iters", from_u64(self.iters)),
+            ("wall_ns", from_u64(self.wall_ns)),
         ];
         let counters = self.counters.iter().map(|(k, v)| (k, from_u64(v)));
         Json::Object(
@@ -236,37 +233,9 @@ impl BenchReport {
         }
         diffs
     }
-
-    /// Advisory wall-time comparison: one line per case whose median moved
-    /// by more than `tolerance` (0.3 = ±30%) relative to `baseline`. Cases
-    /// absent from either side are skipped — [`BenchReport::diff_counters`]
-    /// already reports those.
-    #[must_use]
-    pub fn wall_advisories(&self, baseline: &BenchReport, tolerance: f64) -> Vec<String> {
-        let mut warnings = Vec::new();
-        for base in &baseline.entries {
-            let Some(cur) = self.entry(&base.case_id()) else {
-                continue;
-            };
-            if base.wall_ns_median == 0 {
-                continue;
-            }
-            let ratio = to_f64(cur.wall_ns_median) / to_f64(base.wall_ns_median);
-            if (ratio - 1.0).abs() > tolerance {
-                warnings.push(format!(
-                    "{}: wall median {} ns -> {} ns ({:+.1}%)",
-                    base.case_id(),
-                    base.wall_ns_median,
-                    cur.wall_ns_median,
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-        warnings
-    }
 }
 
-/// `u64` → JSON number. Counters and nanosecond medians stay far below
+/// `u64` → JSON number. Counters and nanosecond wall times stay far below
 /// 2^53, where `f64` is exact; this asserts it rather than silently
 /// rounding.
 fn from_u64(v: u64) -> Json {
@@ -301,6 +270,7 @@ fn field_str(doc: &Json, key: &str) -> Result<String, String> {
 
 /// Parses one entry: the header keys by name, every other key as a
 /// counter (zeros dropped), so files of every schema version read alike.
+/// The wall time is `wall_ns`, or a v1–v6 file's `wall_ns_median`.
 fn parse_entry(doc: &Json) -> Result<BenchEntry, String> {
     let Json::Object(fields) = doc else {
         return Err("bench report: entry is not an object".to_string());
@@ -315,10 +285,10 @@ fn parse_entry(doc: &Json) -> Result<BenchEntry, String> {
         section: field_str(doc, "section")?,
         workload: field_str(doc, "workload")?,
         scheme: field_str(doc, "scheme")?,
-        wall_ns_median: field_u64(doc, "wall_ns_median")?,
-        wall_ns_min: field_u64(doc, "wall_ns_min")?,
-        wall_ns_max: field_u64(doc, "wall_ns_max")?,
-        iters: field_u64(doc, "iters")?,
+        wall_ns: match doc.get("wall_ns") {
+            Some(_) => field_u64(doc, "wall_ns")?,
+            None => field_u64(doc, "wall_ns_median")?,
+        },
         counters,
     })
 }
@@ -352,10 +322,7 @@ mod tests {
             section: section.into(),
             workload: "A2".into(),
             scheme: scheme.into(),
-            wall_ns_median: 1_000,
-            wall_ns_min: 900,
-            wall_ns_max: 1_500,
-            iters: 10,
+            wall_ns: 1_000,
             counters,
         }
     }
@@ -383,20 +350,30 @@ mod tests {
 
     /// Parses a one-entry file of `schema` whose counters are the four v1
     /// counters plus `extra`, checking what holds for every version: no
-    /// per-version code, the shared counters read back and zeros dropped.
+    /// per-version code, the shared counters read back, zeros dropped, and
+    /// the timing keys (v1–v6's median-of-k, v7's one sample) read as the
+    /// wall time and never as counters.
     fn parse_schema(schema: u64, extra: &str) -> Counters {
+        let timing = if schema < 7 {
+            r#""wall_ns_median":10,"wall_ns_min":9,"wall_ns_max":11,"iters":3"#
+        } else {
+            r#""wall_ns":10"#
+        };
         let text = format!(
             r#"{{"schema": {schema}, "entries": [
-                {{"section":"s","workload":"w","scheme":"x",
-                 "wall_ns_median":10,"wall_ns_min":9,"wall_ns_max":11,"iters":3,
+                {{"section":"s","workload":"w","scheme":"x",{timing},
                  "events":4000,"bus_bytes":48000,"allocs":42,"alloc_bytes":0{extra}}}
             ]}}"#
         );
         let r = BenchReport::parse(&text).unwrap_or_else(|e| panic!("v{schema}: {e}"));
-        assert_eq!(r.schema, schema);
+        assert_eq!((r.schema, r.entries[0].wall_ns), (schema, 10));
         let c = r.entries[0].counters.clone();
         assert_eq!((c.get("events"), c.get("allocs")), (4000, 42), "v{schema}");
         assert!(c.iter().all(|(_, v)| v > 0), "v{schema}: zeros dropped");
+        assert!(
+            c.iter().all(|(k, _)| !HEADER.contains(&k)),
+            "v{schema}: a timing key read as a counter: {c:?}"
+        );
         c
     }
 
@@ -455,6 +432,18 @@ mod tests {
     }
 
     #[test]
+    fn v6_timing_keys_read_as_the_wall_sample() {
+        // v6 wrote only nonzero counters next to the median-of-k timing
+        // keys; v7 replaced those four keys with one `wall_ns`.
+        let c = parse_schema(6, r#","cache_hits":5,"scenarios_run":11"#);
+        let v7 = parse_schema(7, r#","cache_hits":5,"scenarios_run":11"#);
+        assert_eq!(c, v7);
+        for name in ["wall_ns_median", "wall_ns_min", "wall_ns_max", "iters"] {
+            assert_eq!(c.get(name), 0, "{name}");
+        }
+    }
+
+    #[test]
     fn the_committed_baseline_parses_and_round_trips() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benches/baseline.json");
         let text = std::fs::read_to_string(path).expect("committed baseline");
@@ -477,9 +466,11 @@ mod tests {
         assert!(BenchReport::parse(r#"{"schema": -1, "entries": []}"#).is_err());
         assert!(BenchReport::parse(r#"{"schema": 6, "entries": [1]}"#).is_err());
         let bad_counter = r#"{"schema": 6, "entries": [{"section":"s","workload":"w",
-            "scheme":"x","wall_ns_median":1,"wall_ns_min":1,"wall_ns_max":1,"iters":1,
-            "events":-3}]}"#;
+            "scheme":"x","wall_ns":1,"events":-3}]}"#;
         assert!(BenchReport::parse(bad_counter).is_err());
+        let untimed = r#"{"schema": 7, "entries": [{"section":"s","workload":"w",
+            "scheme":"x","events":3}]}"#;
+        assert!(BenchReport::parse(untimed).is_err());
     }
 
     #[test]
@@ -506,7 +497,7 @@ mod tests {
 
         // Wall-time drift alone does NOT trip the counter gate.
         let mut slow = report();
-        slow.entries[0].wall_ns_median *= 10;
+        slow.entries[0].wall_ns *= 10;
         assert!(slow.diff_counters(&base).is_empty());
 
         // Missing and extra cases are both reported.
@@ -529,17 +520,5 @@ mod tests {
             base.diff_counters(&cur),
             ["executor/A2/baseline: new_counter 7 -> 0"]
         );
-    }
-
-    #[test]
-    fn wall_advisories_respect_tolerance() {
-        let base = report();
-        let mut cur = report();
-        cur.entries[0].wall_ns_median = 1_250; // +25%: inside ±30%
-        assert!(cur.wall_advisories(&base, 0.3).is_empty());
-        cur.entries[0].wall_ns_median = 1_400; // +40%: outside
-        let w = cur.wall_advisories(&base, 0.3);
-        assert_eq!(w.len(), 1, "{w:?}");
-        assert!(w[0].contains("+40.0%"), "{w:?}");
     }
 }

@@ -35,11 +35,13 @@
 //!   `scenarios_run` (scenarios actually run) and `cache_hits` (results
 //!   the memo replayed).
 //!
-//! Every case reports wall time (advisory) plus the deterministic cost
-//! counters of [`crate::report`]. Heap counting needs the `bench` binary's
-//! `GlobalAlloc` wrapper, which cannot live in this `#![forbid(unsafe_code)]`
-//! library — so [`run_suite`] takes the counter as a *probe* closure and
-//! stays fully testable without it.
+//! Every case reports the deterministic cost counters of [`crate::report`]
+//! plus one advisory wall-time sample. Heap counting needs the `bench`
+//! binary's `GlobalAlloc` wrapper, which cannot live in this
+//! `#![forbid(unsafe_code)]` library — so [`run_suite`] takes the counter
+//! as a *probe* closure and stays fully testable without it. [`check`]
+//! gates a run against a committed baseline, and refuses a baseline it
+//! cannot gate before any case runs.
 
 use std::collections::BTreeMap;
 
@@ -53,7 +55,7 @@ use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};
 
 use crate::report::{BenchEntry, BenchReport, Counters};
-use crate::stopwatch::{measure_with, SampleBudget};
+use crate::stopwatch;
 
 /// The seed every suite case runs under.
 pub const SUITE_SEED: u64 = 42;
@@ -76,6 +78,9 @@ pub const QUEUE_RUNGS: [(usize, &str); 3] = [
 /// Devices sharing each tick instant in the `queue` section — same-instant
 /// ties exercise the engine's batched same-tick drain.
 const QUEUE_DEVICES: usize = 4;
+/// The cases a full baseline must carry: the scratch-engine kernels, whose
+/// zero-alloc steady state only the exact alloc gate holds.
+pub const REQUIRED_CASES: [&str; 2] = ["kernel/A4/kernel", "kernel/A9/kernel"];
 
 /// Adds the deterministic counters of one scenario run to `out`.
 fn record_run(out: &mut Counters, result: &RunResult) {
@@ -410,19 +415,14 @@ pub fn cases() -> Vec<Case> {
     out
 }
 
-/// Runs every case and assembles the report.
+/// Runs every case, or only `section`'s, and assembles the report.
 ///
 /// `probe` returns the process's cumulative `(allocations, bytes)` — the
 /// `bench` binary wires its counting allocator in here; tests may pass a
-/// constant probe (alloc columns then read 0). Per case: one warm-up run
-/// (also the counter source — the output is asserted identical to the
-/// counted run's), one counted steady-state run, then the stopwatch loop
-/// under `limits`.
-///
-/// `prewarm_jobs` sizes a fleet that runs the scenario set once before
-/// measuring, building the shared signal-cache artifacts in parallel; it
-/// cannot affect any counter (gated runs execute on the calling thread
-/// against a warm cache either way).
+/// constant probe (alloc columns then read 0). Each case runs twice: a
+/// warm run, which fills the caches and is the counter source, then a
+/// counted run, which is timed once and, when the case counts
+/// allocations, brackets the probe.
 ///
 /// # Panics
 ///
@@ -430,73 +430,73 @@ pub fn cases() -> Vec<Case> {
 /// that would mean the simulator itself lost determinism, and no report
 /// should be written from such a build.
 #[must_use]
-pub fn run_suite(
-    limits: SampleBudget,
-    prewarm_jobs: usize,
-    probe: &dyn Fn() -> (u64, u64),
-) -> BenchReport {
-    run_suite_filtered(limits, prewarm_jobs, probe, None)
-}
-
-/// Like [`run_suite`], but restricted to one suite section when `section`
-/// is `Some` (the binary's `--section` flag). The filtered report carries
-/// only that section's entries; gating diffs the committed baseline
-/// filtered the same way.
-///
-/// # Panics
-///
-/// Panics under the same counter-drift condition as [`run_suite`].
-#[must_use]
-pub fn run_suite_filtered(
-    limits: SampleBudget,
-    prewarm_jobs: usize,
-    probe: &dyn Fn() -> (u64, u64),
-    section: Option<&str>,
-) -> BenchReport {
-    // Parallel cache warm-up (counter-neutral, see above).
-    let scenarios: Vec<Scenario> = Scheme::ALL.iter().map(|&s| scenario(s)).collect();
-    let _ = Fleet::new(prewarm_jobs.max(1)).run(scenarios);
-
+pub fn run_suite(probe: &dyn Fn() -> (u64, u64), section: Option<&str>) -> BenchReport {
     let mut report = BenchReport::new();
     for mut case in cases()
         .into_iter()
         .filter(|c| section.is_none_or(|s| c.section == s))
     {
-        let warm = case.counters();
-        let (allocs, alloc_bytes) = if case.count_allocs {
-            let mut counted = Counters::with_capacity(warm.iter().count());
-            let (a0, b0) = probe();
-            (case.run)(&mut counted);
-            let (a1, b1) = probe();
-            assert_eq!(
-                counted, warm,
-                "{}/{}/{}: counters drifted between runs",
-                case.section, case.workload, case.scheme
-            );
-            (a1 - a0, b1 - b0)
-        } else {
-            (0, 0)
-        };
-        let m = measure_with(limits, || case.counters());
-        let mut counters = warm;
-        counters.add("allocs", allocs);
-        counters.add("alloc_bytes", alloc_bytes);
+        let mut counters = case.counters();
+        let mut counted = Counters::with_capacity(counters.iter().count());
+        let (a0, b0) = probe();
+        let ((), wall) = stopwatch::time(|| (case.run)(&mut counted));
+        let (a1, b1) = probe();
+        assert_eq!(
+            counted, counters,
+            "{}/{}/{}: counters drifted between runs",
+            case.section, case.workload, case.scheme
+        );
+        if case.count_allocs {
+            counters.add("allocs", a1 - a0);
+            counters.add("alloc_bytes", b1 - b0);
+        }
         report.entries.push(BenchEntry {
             section: case.section.to_string(),
             workload: case.workload,
             scheme: case.scheme,
-            wall_ns_median: duration_ns(m.median),
-            wall_ns_min: duration_ns(m.min),
-            wall_ns_max: duration_ns(m.max),
-            iters: m.n as u64,
+            wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
             counters,
         });
     }
     report
 }
 
+/// Gates a suite run against the baseline report `text`.
+///
+/// The baseline is parsed and restricted to `section` first; a full one
+/// must carry every [`REQUIRED_CASES`] entry. Only a baseline that passes
+/// both is worth a run, so `run` is called after them. Returns the run's
+/// report with its counter diffs against the baseline (empty when the
+/// gate passes).
+///
+/// # Errors
+///
+/// Returns a message, without calling `run`, if the baseline does not
+/// parse, has no case in `section`, or lacks a required case.
+pub fn check(
+    text: &str,
+    section: Option<&str>,
+    run: impl FnOnce() -> BenchReport,
+) -> Result<(BenchReport, Vec<String>), String> {
+    let mut baseline = BenchReport::parse(text)?;
+    if let Some(s) = section {
+        baseline.entries.retain(|e| e.section == s);
+        if baseline.entries.is_empty() {
+            return Err(format!("no cases in section `{s}`"));
+        }
+    } else if let Some(id) = REQUIRED_CASES
+        .into_iter()
+        .find(|id| baseline.entry(id).is_none())
+    {
+        return Err(format!("lacks the gated case {id}"));
+    }
+    let report = run();
+    let diffs = report.diff_counters(&baseline);
+    Ok((report, diffs))
+}
+
 /// Renders the report as the human-readable table the binary prints: the
-/// case, its median wall time, then its nonzero counters as `name=value`.
+/// case, its wall time, then its nonzero counters as `name=value`.
 #[must_use]
 pub fn render_table(report: &BenchReport) -> String {
     use std::fmt::Write as _;
@@ -504,13 +504,13 @@ pub fn render_table(report: &BenchReport) -> String {
     let _ = writeln!(
         out,
         "{:<13} {:<18} {:<13} {:>12}  counters",
-        "section", "workload", "scheme", "median_ns"
+        "section", "workload", "scheme", "wall_ns"
     );
     for e in &report.entries {
         let _ = write!(
             out,
             "{:<13} {:<18} {:<13} {:>12} ",
-            e.section, e.workload, e.scheme, e.wall_ns_median
+            e.section, e.workload, e.scheme, e.wall_ns
         );
         for (name, v) in e.counters.iter() {
             let _ = write!(out, " {name}={v}");
@@ -518,10 +518,6 @@ pub fn render_table(report: &BenchReport) -> String {
         out.push('\n');
     }
     out
-}
-
-fn duration_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -695,9 +691,28 @@ mod tests {
     #[test]
     fn section_filter_restricts_the_report() {
         let probe = || (0, 0);
-        let r = run_suite_filtered(SampleBudget::quick(), 1, &probe, Some("robustness"));
+        let r = run_suite(&probe, Some("robustness"));
         assert!(!r.entries.is_empty());
         assert!(r.entries.iter().all(|e| e.section == "robustness"));
+    }
+
+    #[test]
+    fn check_refuses_an_ungateable_baseline_before_running() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benches/baseline.json");
+        let text = std::fs::read_to_string(path).expect("committed baseline");
+        let mut pruned = BenchReport::parse(&text).expect("baseline parses");
+        pruned.entries.retain(|e| e.case_id() != "kernel/A9/kernel");
+        let refuse = |text: &str, section| {
+            check(text, section, || panic!("a refused baseline ran the suite"))
+                .expect_err("baseline refused")
+        };
+        let e = refuse(&pruned.to_json(), None);
+        assert!(e.contains("kernel/A9/kernel"), "{e}");
+        // A section run gates only that section, so it needs no kernel case
+        // but must find one of its own.
+        let e = refuse(&text, Some("no-such-section"));
+        assert!(e.contains("no-such-section"), "{e}");
+        assert!(refuse("not json", None).contains("bench report"));
     }
 
     #[test]
