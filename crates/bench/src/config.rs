@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use iotse_apps::catalog;
 use iotse_core::runner::Fleet;
 use iotse_core::{AppId, RunResult, Scenario, Scheme};
-use iotse_sensors::world::WorldConfig;
+use iotse_sim::memo::MemoStats;
 
 /// Configuration shared by every figure/table reproduction.
 ///
@@ -63,17 +63,6 @@ impl ExperimentConfig {
             .seed(self.seed)
     }
 
-    /// Builds an un-run scenario for `apps` under `scheme` in `world`.
-    #[must_use]
-    pub fn scenario_in_world(
-        &self,
-        scheme: Scheme,
-        apps: &[AppId],
-        world: WorldConfig,
-    ) -> Scenario {
-        self.scenario(scheme, apps).world(world)
-    }
-
     /// Runs a fleet of scenarios on `self.jobs` threads through the memo;
     /// results come back in submission order regardless of completion
     /// order. See [`RunMemo::run`].
@@ -100,13 +89,6 @@ impl ExperimentConfig {
                 .collect(),
         )
     }
-
-    /// Runs `apps` under `scheme` with a customized world.
-    #[must_use]
-    pub fn run_in_world(&self, scheme: Scheme, apps: &[AppId], world: WorldConfig) -> RunResult {
-        self.run_fleet(vec![self.scenario_in_world(scheme, apps, world)])
-            .swap_remove(0)
-    }
 }
 
 /// The results of the distinct scenarios run so far, keyed by
@@ -122,17 +104,6 @@ struct MemoState {
     results: BTreeMap<u128, Box<RunResult>>,
     runs: u64,
     hits: u64,
-}
-
-/// What a [`RunMemo`] has done so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Scenarios actually run.
-    pub runs: u64,
-    /// Results handed out from the memo instead of a run.
-    pub hits: u64,
-    /// Distinct results stored.
-    pub entries: usize,
 }
 
 impl RunMemo {
@@ -199,13 +170,14 @@ impl RunMemo {
         out
     }
 
-    /// Runs, hits and stored results so far.
+    /// Results replayed (`hits`), scenarios run (`misses`) and distinct
+    /// results stored so far.
     #[must_use]
     pub fn stats(&self) -> MemoStats {
         let state = self.state();
         MemoStats {
-            runs: state.runs,
             hits: state.hits,
+            misses: state.runs,
             entries: state.results.len(),
         }
     }
@@ -267,6 +239,7 @@ mod tests {
     use crate::sweeps::ScaledMcu;
     use iotse_core::workload::{AppOutput, ResourceProfile, SensorUsage, WindowData, Workload};
     use iotse_core::Calibration;
+    use iotse_sensors::world::WorldConfig;
     use iotse_sim::time::SimDuration;
 
     /// A workload outside the catalog: it keeps the default fingerprint.
@@ -407,14 +380,14 @@ mod tests {
             );
             // Two distinct keys ran, plus the two traced runs.
             let first = cfg.memo.stats();
-            assert_eq!((first.runs, first.hits, first.entries), (4, 3, 2));
+            assert_eq!((first.misses, first.hits, first.entries), (4, 3, 2));
             assert_eq!(
                 cfg.run_fleet(cells(&cfg)),
                 expected,
                 "second call, jobs {jobs}"
             );
             let second = cfg.memo.stats();
-            assert_eq!((second.runs, second.hits, second.entries), (6, 8, 2));
+            assert_eq!((second.misses, second.hits, second.entries), (6, 8, 2));
             // A clone shares the memo; `run` goes through it too.
             let clone = cfg.clone();
             assert_eq!(clone.run(Scheme::Baseline, &[AppId::A2]), expected[0]);
@@ -436,8 +409,6 @@ mod tests {
         let r = cfg.run(Scheme::Baseline, &[AppId::A2]);
         assert_eq!(r.scheme, Scheme::Baseline);
         assert!(r.total_energy().as_millijoules() > 0.0);
-        let in_world = cfg.run_in_world(Scheme::Baseline, &[AppId::A2], WorldConfig::default());
-        assert_eq!(in_world, r);
     }
 
     #[test]

@@ -22,23 +22,16 @@
 //!   bit-identical. A spurious miss merely recomputes; a spurious hit would
 //!   need a simultaneous collision in both folds.
 //!
-//! Concurrency mirrors the signal cache: kernel builds run *outside* the
-//! lock, and a lookup holds the global mutex only while it copies an output
-//! in or out. Outputs are stored by value, not shared, because every caller
-//! takes its own copy anyway. A cold-key race keeps the first inserted
-//! value (both racers computed identical outputs, so either is correct and
-//! all callers converge on one). The map clears itself past
-//! [`MAX_ENTRIES`] instead of maintaining an LRU chain.
+//! The store is a [`Memo`] (builds outside the lock, first insert wins,
+//! cleared past [`MAX_ENTRIES`]). Outputs are stored by value, not shared,
+//! because every caller takes its own copy anyway.
 //!
 //! [`Workload::memoizable`]: crate::workload::Workload::memoizable
 //! [`Workload::memo_salt`]: crate::workload::Workload::memo_salt
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
 use iotse_sensors::reading::SampleValue;
-use iotse_sensors::signal::cache::Fingerprint128;
+use iotse_sim::hash::Fingerprint128;
+use iotse_sim::memo::{Memo, MemoStats};
 
 use crate::workload::{AppId, AppOutput, WindowData};
 
@@ -47,17 +40,7 @@ use crate::workload::{AppId, AppOutput, WindowData};
 /// spare, and an occasional cold rebuild is cheaper than eviction tracking.
 pub const MAX_ENTRIES: usize = 4096;
 
-type Key = (AppId, u128, u128);
-type Store = BTreeMap<Key, AppOutput>;
-
-static CACHE: OnceLock<Mutex<Store>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn store() -> &'static Mutex<Store> {
-    // lint: BTreeMap::new is alloc-free, and get_or_init runs it once
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
+static CACHE: Memo<(AppId, u128, u128), AppOutput> = Memo::new(MAX_ENTRIES);
 
 /// The 128-bit content fingerprint of one window of samples.
 ///
@@ -118,56 +101,22 @@ pub fn memoized_output(
     window: u128,
     compute: impl FnOnce() -> AppOutput,
 ) -> AppOutput {
-    let key = (app, salt, window);
-    if let Some(hit) = store()
-        .lock()
-        // iotse-lint: allow(IOTSE-E04) poisoning only follows a kernel panic, which already aborts the run
-        .expect("compute cache poisoned")
-        .get(&key)
-        .cloned()
-    {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return hit;
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let value = compute();
-    // iotse-lint: allow(IOTSE-E04) poisoning only follows a kernel panic, which already aborts the run
-    let mut map = store().lock().expect("compute cache poisoned");
-    if map.len() >= MAX_ENTRIES && !map.contains_key(&key) {
-        map.clear();
-    }
-    map.entry(key).or_insert(value).clone()
+    CACHE.get_or_build((app, salt, window), compute)
 }
 
 /// A point-in-time view of the cache's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that ran the kernel.
-    pub misses: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-}
+pub type CacheStats = MemoStats;
 
 /// Current hit/miss counters and residency.
 #[must_use]
 pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        // iotse-lint: allow(IOTSE-E04) poisoning only follows a kernel panic, which already aborts the run
-        entries: store().lock().expect("compute cache poisoned").len(),
-    }
+    CACHE.stats()
 }
 
 /// Empties the cache and zeroes the counters — benches call this before a
 /// measured section so hit/miss counts are deterministic from a cold start.
 pub fn clear() {
-    // iotse-lint: allow(IOTSE-E04) poisoning only follows a kernel panic, which already aborts the run
-    store().lock().expect("compute cache poisoned").clear();
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
+    CACHE.reset();
 }
 
 #[cfg(test)]
@@ -176,6 +125,7 @@ mod tests {
     use iotse_sensors::reading::SensorSample;
     use iotse_sensors::spec::SensorId;
     use iotse_sim::time::SimTime;
+    use std::collections::BTreeMap;
 
     fn sample(sensor: SensorId, seq: u64, value: SampleValue) -> SensorSample {
         SensorSample {
@@ -280,25 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn second_lookup_reuses_the_first_output() {
-        // A salt no workload uses keeps this test isolated from scenarios
-        // run by other tests in the same process.
-        const SALT: u128 = 0xFEED_0001;
-        let fp = fingerprint(&base_window());
-        let mut calls = 0;
-        let out = |calls: &mut u32| {
-            *calls += 1;
-            AppOutput::Steps(41)
-        };
-        let a = memoized_output(AppId::A2, SALT, fp, || out(&mut calls));
-        let b = memoized_output(AppId::A2, SALT, fp, || out(&mut calls));
-        assert_eq!(a, AppOutput::Steps(41));
-        assert_eq!(a, b);
-        assert_eq!(calls, 1, "second lookup must not recompute");
-    }
-
-    #[test]
     fn keys_separate_by_app_salt_and_window() {
+        // A salt no workload uses keeps this test apart from scenarios run
+        // by other tests in the same process.
         const SALT: u128 = 0xFEED_0002;
         let fp = fingerprint(&base_window());
         let mut d = base_window();
@@ -323,39 +257,5 @@ mod tests {
             AppOutput::Steps(4),
             "window fingerprint must separate"
         );
-    }
-
-    #[test]
-    fn concurrent_cold_lookups_agree() {
-        const SALT: u128 = 0xFEED_0003;
-        let fp = fingerprint(&base_window());
-        let results: Vec<AppOutput> = std::thread::scope(|s| {
-            (0..8)
-                .map(|_| {
-                    s.spawn(move || {
-                        memoized_output(AppId::A9, SALT, fp, || AppOutput::ImageQuality {
-                            psnr_db: 33.25,
-                        })
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("no panic"))
-                .collect()
-        });
-        for r in &results {
-            assert_eq!(*r, AppOutput::ImageQuality { psnr_db: 33.25 });
-        }
-    }
-
-    #[test]
-    fn stats_track_entries() {
-        const SALT: u128 = 0xFEED_0004;
-        let before = stats().entries;
-        let _ = memoized_output(AppId::A1, SALT, 1, || AppOutput::Document("x".into()));
-        // Other tests may clear the cache concurrently in theory, but the
-        // suite only clears from this module; the entry must be resident.
-        assert!(stats().entries > 0);
-        let _ = before;
     }
 }

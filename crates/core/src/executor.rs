@@ -18,11 +18,11 @@ use iotse_energy::attribution::{Device, EnergyLedger, Routine};
 use iotse_energy::stacks::exact_residual;
 use iotse_sensors::faults::{apply as apply_sample_fault, SampleFault};
 use iotse_sensors::reading::{SampleValue, SensorSample};
-use iotse_sensors::signal::cache::Fingerprint128;
 use iotse_sensors::spec::SensorId;
 use iotse_sensors::world::{PhysicalWorld, WorldConfig};
 use iotse_sim::engine::Engine;
 use iotse_sim::faults::{FaultKind, FaultPlan, FaultScript, SensorDisposition};
+use iotse_sim::hash::Fingerprint128;
 use iotse_sim::metrics::{HistogramId, MetricsRegistry, MetricsReport};
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};

@@ -51,7 +51,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod admission;
 pub mod calibration;
@@ -71,7 +71,7 @@ pub mod workload;
 pub use calibration::Calibration;
 pub use executor::Scenario;
 pub use result::{AppFlow, RunResult};
-pub use runner::{fleet_window_percentiles, run_fleet, Fleet, WindowPercentiles};
+pub use runner::{run_fleet, Fleet};
 pub use scenario_spec::{run_spec, ScenarioSpec, SpecCheck, SpecError, SpecReport};
 pub use scheme::Scheme;
 pub use telemetry::{Telemetry, TelemetryConfig};

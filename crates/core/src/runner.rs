@@ -150,76 +150,6 @@ pub fn run_fleet(scenarios: Vec<Scenario>, jobs: usize) -> Vec<RunResult> {
     Fleet::new(jobs).run(scenarios)
 }
 
-/// Merges the metrics reports of a fleet's results into one per-sweep
-/// report (counters and histogram buckets sum; gauges sum — divide by run
-/// count for a mean). Runs without metrics contribute nothing. The merge
-/// folds in submission order, so the aggregate is independent of `--jobs`.
-#[must_use]
-pub fn aggregate_metrics(results: &[RunResult]) -> iotse_sim::metrics::MetricsReport {
-    let mut merged = iotse_sim::metrics::MetricsReport::default();
-    for r in results {
-        if let Some(m) = &r.metrics {
-            merged.merge(m);
-        }
-    }
-    merged
-}
-
-/// Cross-device percentiles of one window's energy for one routine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowPercentiles {
-    /// Zero-based window index on the telemetry grid.
-    pub window: u32,
-    /// Devices (runs) that recorded this window.
-    pub devices: usize,
-    /// One nearest-rank percentile per requested quantile, in request
-    /// order (µJ).
-    pub values: Vec<f64>,
-}
-
-/// Fleet-level per-window aggregation: for each window index, the
-/// nearest-rank percentiles of `routine`'s energy stack across every
-/// telemetry-carrying run in `results`. Treat each run as one device of a
-/// fleet; the output answers "what did the p50/p95 device spend on
-/// interrupts in window 3?". Runs without telemetry contribute nothing;
-/// values sort with `total_cmp`, so the aggregation is deterministic and
-/// independent of `--jobs`.
-#[must_use]
-pub fn fleet_window_percentiles(
-    results: &[RunResult],
-    routine: iotse_energy::attribution::Routine,
-    quantiles: &[f64],
-) -> Vec<WindowPercentiles> {
-    let windows = results
-        .iter()
-        .filter_map(|r| r.telemetry.as_ref())
-        .map(|t| t.stacks.recorded())
-        .max()
-        .unwrap_or(0);
-    let mut out = Vec::with_capacity(windows as usize);
-    let mut values: Vec<f64> = Vec::with_capacity(results.len());
-    for w in 0..windows {
-        values.clear();
-        for r in results {
-            if let Some(t) = &r.telemetry {
-                if let Some(stack) = t.stacks.window_stack(w) {
-                    values.push(stack[iotse_energy::stacks::routine_index(routine)]);
-                }
-            }
-        }
-        values.sort_by(f64::total_cmp);
-        out.push(WindowPercentiles {
-            window: w,
-            devices: values.len(),
-            values: quantiles
-                .iter()
-                .map(|&q| iotse_sim::timeseries::percentile_sorted(&values, q).unwrap_or(f64::NAN))
-                .collect(),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,80 +234,5 @@ mod tests {
     fn zero_jobs_clamps_to_one() {
         assert_eq!(Fleet::new(0).jobs(), 1);
         assert!(Fleet::default().jobs() >= 1);
-    }
-
-    #[test]
-    fn window_percentiles_without_telemetry_are_empty() {
-        let results = Fleet::new(1).run(fleet_of(&[1, 2, 3]));
-        let agg = fleet_window_percentiles(
-            &results,
-            iotse_energy::attribution::Routine::Interrupt,
-            &[0.5],
-        );
-        assert!(agg.is_empty());
-    }
-
-    #[test]
-    fn window_percentiles_span_the_fleet() {
-        let scenarios: Vec<Scenario> = [11u64, 22, 33]
-            .iter()
-            .map(|&seed| {
-                Scenario::new(Scheme::Batching, vec![Box::new(Probe)])
-                    .windows(2)
-                    .seed(seed)
-                    .with_telemetry()
-            })
-            .collect();
-        let results = Fleet::new(2).run(scenarios);
-        let agg = fleet_window_percentiles(
-            &results,
-            iotse_energy::attribution::Routine::Interrupt,
-            &[0.0, 0.5, 1.0],
-        );
-        assert_eq!(agg.len(), 2);
-        for wp in &agg {
-            assert_eq!(wp.devices, 3);
-            assert_eq!(wp.values.len(), 3);
-            // min <= median <= max, and the extremes bracket every device.
-            assert!(wp.values[0] <= wp.values[1]);
-            assert!(wp.values[1] <= wp.values[2]);
-        }
-        // p100 of window 0 equals the largest window-0 interrupt stack.
-        let max0 = results
-            .iter()
-            .filter_map(|r| r.telemetry.as_ref())
-            .filter_map(|t| t.stacks.window_stack(0))
-            .map(|s| {
-                s[iotse_energy::stacks::routine_index(
-                    iotse_energy::attribution::Routine::Interrupt,
-                )]
-            })
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(agg[0].values[2], max0);
-    }
-
-    #[test]
-    fn window_percentiles_are_jobs_independent() {
-        let scenarios = || -> Vec<Scenario> {
-            (0..4)
-                .map(|i| {
-                    Scenario::new(Scheme::Batching, vec![Box::new(Probe)])
-                        .windows(2)
-                        .seed(100 + i)
-                        .with_telemetry()
-                })
-                .collect()
-        };
-        let one = fleet_window_percentiles(
-            &Fleet::new(1).run(scenarios()),
-            iotse_energy::attribution::Routine::Idle,
-            &[0.5, 0.95],
-        );
-        let four = fleet_window_percentiles(
-            &Fleet::new(4).run(scenarios()),
-            iotse_energy::attribution::Routine::Idle,
-            &[0.5, 0.95],
-        );
-        assert_eq!(one, four);
     }
 }

@@ -336,9 +336,7 @@ pub trait Workload: Send {
 /// does.
 #[must_use]
 pub fn identity_fingerprint(id: AppId, salt: u128) -> u128 {
-    let mut h = iotse_sensors::signal::cache::Fingerprint128::new();
-    h.push_all(&[id as u64, salt as u64, (salt >> 64) as u64]);
-    h.finish()
+    iotse_sim::hash::fingerprint128(&[id as u64, salt as u64, (salt >> 64) as u64])
 }
 
 /// Wire bytes one window moves in Baseline (the Table II "Sensor Data"

@@ -7,8 +7,6 @@
 //!
 //! * [`units`] — [`Power`] (mW) and [`Energy`]
 //!   (µJ) with `Power × SimDuration → Energy` in the type system.
-//! * [`state`] — [`StateTracker`]: exact per-state
-//!   energy integration for devices with power states (CPU, MCU).
 //! * [`attribution`] — the paper's four sub-task routines and the
 //!   [`EnergyLedger`] behind every stacked bar in
 //!   Figures 3–12.
@@ -48,12 +46,10 @@ pub mod flame;
 pub mod monitor;
 pub mod report;
 pub mod stacks;
-pub mod state;
 pub mod units;
 
 pub use attribution::{Breakdown, Device, EnergyLedger, NormalizedBreakdown, Routine};
 pub use flame::FlameGraph;
 pub use monitor::PowerTrace;
 pub use stacks::EnergyStacks;
-pub use state::{PowerState, StateTracker};
 pub use units::{Energy, Power};

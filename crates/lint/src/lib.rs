@@ -185,7 +185,6 @@ pub fn check_files(root: &Path, mut files: Vec<SourceFile>) -> Vec<Finding> {
         rules::unwrap_panic::check(file, &mut findings);
         rules::casts::check(file, &mut findings);
         rules::allow_inventory::check(file, &mut findings);
-        rules::doc_coverage::check(file, &mut findings);
         rules::metric_names::check(file, &mut findings);
         rules::kernel_alloc::check(file, &mut findings);
     }

@@ -119,9 +119,6 @@ pub struct FnItem {
     pub owner: Option<usize>,
     /// Visibility as written.
     pub vis: Vis,
-    /// `true` when every enclosing module is plain `pub` (file scope
-    /// counts as public) and the item is not nested in another body.
-    pub public_path: bool,
     /// `true` when the item sits inside a `#[cfg(test)]` module.
     pub is_test: bool,
     /// `true` when a `// iotse-lint: hot-path` marker sits directly above
@@ -135,7 +132,7 @@ pub struct FnItem {
     pub generic: bool,
 }
 
-/// A non-function item (for doc coverage and field typing).
+/// A non-function item.
 #[derive(Debug, Clone)]
 pub struct ItemDecl {
     /// Item keyword: `struct`, `enum`, `trait`, `const`, `static`, `type`,
@@ -147,13 +144,8 @@ pub struct ItemDecl {
     pub line: usize,
     /// Visibility as written.
     pub vis: Vis,
-    /// See [`FnItem::public_path`].
-    pub public_path: bool,
     /// `true` when inside a `#[cfg(test)]` module.
     pub is_test: bool,
-    /// `true` for an external `mod name;` declaration (documented by the
-    /// target file's own `//!` header).
-    pub external_mod: bool,
 }
 
 /// A named struct field with its type text (`seeds: SeedTree`).
@@ -201,7 +193,7 @@ impl ParsedFile {
             fields: &mut fields,
             pending_inline: false,
         };
-        p.items_until_close(None, true, false);
+        p.items_until_close(None);
         ParsedFile {
             tokens,
             fns,
@@ -398,10 +390,7 @@ impl Parser<'_> {
     }
 
     /// Parses items until the matching `}` of the enclosing scope (or EOF).
-    /// `mods_public` tracks whether every enclosing module is plain `pub`;
-    /// `in_body` is `true` inside function bodies (items there are never
-    /// public API).
-    fn items_until_close(&mut self, owner: Option<usize>, mods_public: bool, in_body: bool) {
+    fn items_until_close(&mut self, owner: Option<usize>) {
         while let Some(t) = self.peek() {
             if t.text == "}" {
                 self.bump();
@@ -435,27 +424,27 @@ impl Parser<'_> {
             match kw.as_str() {
                 "fn" => {
                     self.i = k;
-                    self.parse_fn(owner, vis, mods_public && !in_body, inline);
+                    self.parse_fn(owner, vis, inline);
                 }
                 "impl" => {
                     self.i = k;
-                    self.parse_impl(mods_public, in_body);
+                    self.parse_impl();
                 }
                 "trait" => {
                     self.i = k;
-                    self.parse_trait(vis, mods_public, in_body);
+                    self.parse_trait(vis);
                 }
                 "mod" => {
                     self.i = k;
-                    self.parse_mod(vis, mods_public, in_body);
+                    self.parse_mod(vis);
                 }
                 "struct" | "enum" | "union" => {
                     self.i = k;
-                    self.parse_adt(vis, mods_public, in_body);
+                    self.parse_adt(vis);
                 }
                 "const" | "static" | "type" => {
                     self.i = k;
-                    self.parse_simple_decl(vis, mods_public, in_body);
+                    self.parse_simple_decl(vis);
                 }
                 "use" | "macro_rules" => {
                     self.i = k;
@@ -489,7 +478,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_fn(&mut self, owner: Option<usize>, vis: Vis, public_path: bool, inline: bool) {
+    fn parse_fn(&mut self, owner: Option<usize>, vis: Vis, inline: bool) {
         let fn_line = self.toks[self.i].line;
         let sig_start = self.i;
         self.bump(); // fn
@@ -543,12 +532,10 @@ impl Parser<'_> {
             body_lines,
             owner,
             vis,
-            public_path,
             is_test: self.file.in_test_span(fn_line),
         });
         // Items nested inside the body (local fns, helper structs) are
-        // parsed in a second bounded pass so they resolve as call targets
-        // while staying off the public API surface.
+        // parsed in a second bounded pass so they resolve as call targets.
         let save = self.i;
         self.i = body_start + 1;
         let end = body_end;
@@ -570,7 +557,7 @@ impl Parser<'_> {
                     .unwrap_or_default();
                 if prev != ":" && prev != "dyn" && prev != "impl" && prev != "&" {
                     let save_len = self.fns.len();
-                    self.parse_fn(owner, Vis::Private, false, false);
+                    self.parse_fn(owner, Vis::Private, false);
                     if self.fns.len() > save_len {
                         continue;
                     }
@@ -580,7 +567,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_impl(&mut self, mods_public: bool, in_body: bool) {
+    fn parse_impl(&mut self) {
         let line = self.toks[self.i].line;
         self.bump(); // impl
         let mut generic = false;
@@ -641,11 +628,11 @@ impl Parser<'_> {
         });
         if self.peek_text() == "{" {
             self.bump();
-            self.items_until_close(Some(idx), mods_public, in_body);
+            self.items_until_close(Some(idx));
         }
     }
 
-    fn parse_trait(&mut self, vis: Vis, mods_public: bool, in_body: bool) {
+    fn parse_trait(&mut self, vis: Vis) {
         let line = self.toks[self.i].line;
         self.bump(); // trait
         let name = self.peek().filter(|t| t.ident).map(|t| t.text.clone());
@@ -656,9 +643,7 @@ impl Parser<'_> {
             name: name.clone(),
             line,
             vis,
-            public_path: mods_public && !in_body,
             is_test: self.file.in_test_span(line),
-            external_mod: false,
         });
         while !matches!(self.peek_text(), "" | "{" | ";") {
             if self.peek_text() == "<" {
@@ -678,13 +663,13 @@ impl Parser<'_> {
                 generic: true,
             });
             self.bump();
-            self.items_until_close(Some(idx), mods_public, in_body);
+            self.items_until_close(Some(idx));
         } else if self.peek_text() == ";" {
             self.bump();
         }
     }
 
-    fn parse_mod(&mut self, vis: Vis, mods_public: bool, in_body: bool) {
+    fn parse_mod(&mut self, vis: Vis) {
         let line = self.toks[self.i].line;
         self.bump(); // mod
         let name = self.peek().filter(|t| t.ident).map(|t| t.text.clone());
@@ -696,19 +681,17 @@ impl Parser<'_> {
             name,
             line,
             vis,
-            public_path: mods_public && !in_body,
             is_test: self.file.in_test_span(line),
-            external_mod: external,
         });
         if external {
             self.bump();
         } else if self.peek_text() == "{" {
             self.bump();
-            self.items_until_close(None, mods_public && vis == Vis::Pub, in_body);
+            self.items_until_close(None);
         }
     }
 
-    fn parse_adt(&mut self, vis: Vis, mods_public: bool, in_body: bool) {
+    fn parse_adt(&mut self, vis: Vis) {
         let kind: &'static str = match self.peek_text() {
             "struct" => "struct",
             "enum" => "enum",
@@ -724,9 +707,7 @@ impl Parser<'_> {
             name: name.clone(),
             line,
             vis,
-            public_path: mods_public && !in_body,
             is_test: self.file.in_test_span(line),
-            external_mod: false,
         });
         if self.peek_text() == "<" {
             self.consume_generics();
@@ -808,7 +789,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_simple_decl(&mut self, vis: Vis, mods_public: bool, in_body: bool) {
+    fn parse_simple_decl(&mut self, vis: Vis) {
         let kind: &'static str = match self.peek_text() {
             "const" => "const",
             "static" => "static",
@@ -831,9 +812,7 @@ impl Parser<'_> {
             name,
             line,
             vis,
-            public_path: mods_public && !in_body,
             is_test: self.file.in_test_span(line),
-            external_mod: false,
         });
         self.consume_to_semi();
     }
@@ -929,17 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn private_mod_breaks_the_public_path() {
-        let p = parse(
-            "mod inner {\n    pub fn hidden() {}\n}\npub mod outer {\n    pub fn shown() {}\n}\n",
-        );
-        let hidden = p.fns.iter().find(|f| f.name == "hidden").expect("hidden");
-        assert!(!hidden.public_path);
-        let shown = p.fns.iter().find(|f| f.name == "shown").expect("shown");
-        assert!(shown.public_path);
-    }
-
-    #[test]
     fn struct_fields_record_types() {
         let p = parse("pub struct G {\n    seeds: SeedTree,\n    pub n: Vec<u8>,\n}\n");
         assert_eq!(p.fields.len(), 2);
@@ -976,7 +944,6 @@ mod tests {
         let p = parse("fn outer() {\n    fn inner(x: u8) -> u8 { x }\n    inner(1);\n}\n");
         assert_eq!(p.fns.len(), 2);
         assert_eq!(p.fns[1].name, "inner");
-        assert!(!p.fns[1].public_path);
     }
 
     #[test]
@@ -993,7 +960,6 @@ mod tests {
         let p = parse("const C: P = P { x: 1 };\npub fn after() {}\n");
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "after");
-        assert!(p.fns[0].public_path);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! | `IOTSE-C05` | no bare numeric `as` casts in energy accounting |
 //! | `IOTSE-T06` | source constants must match `specs/table1.toml` |
 //! | `IOTSE-A07` | every `#[allow]` needs a `// lint:` justification |
-//! | `IOTSE-P08` | public items in `core` need doc comments |
 //! | `IOTSE-M09` | metric/span labels must match `iotse_<crate>_<name>` |
 //! | `IOTSE-K10` | kernel `Vec` allocations need a `// lint:` justification |
 //! | `IOTSE-M11` | memoizable kernels must be transitively pure |
@@ -32,7 +31,6 @@
 pub mod allow_inventory;
 pub mod ambient;
 pub mod casts;
-pub mod doc_coverage;
 pub mod hash_iter;
 pub mod hot_path;
 pub mod inline_path;
@@ -60,7 +58,6 @@ pub const ALL: &[(&str, &str)] = &[
     (casts::ID, casts::SUMMARY),
     (table1::ID, table1::SUMMARY),
     (allow_inventory::ID, allow_inventory::SUMMARY),
-    (doc_coverage::ID, doc_coverage::SUMMARY),
     (metric_names::ID, metric_names::SUMMARY),
     (kernel_alloc::ID, kernel_alloc::SUMMARY),
     (memo_purity::ID, memo_purity::SUMMARY),
@@ -108,11 +105,6 @@ pub const DETAILS: &[(&str, &str, &str)] = &[
         "IOTSE-A07",
         "token scan",
         "every `#[allow(..)]` must carry a `// lint: <reason>` justification so suppressions stay an auditable inventory, not a leak.",
-    ),
-    (
-        "IOTSE-P08",
-        "item parse",
-        "public API items in `core` need doc comments; effective visibility is computed from the item parse, so `pub(crate)`/`pub(super)` items and `pub` items inside private modules are not counted as public API.",
     ),
     (
         "IOTSE-M09",

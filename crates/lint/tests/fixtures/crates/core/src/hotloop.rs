@@ -1,6 +1,5 @@
 //! `IOTSE-H13` fixtures: annotated hot paths whose transitive call
-//! graphs allocate — plus effective-visibility entries that `IOTSE-P08`
-//! must leave alone.
+//! graphs allocate.
 
 /// Steady-state step that must stay allocation-free — H13 must fire on
 /// the unjustified `vec!` it reaches through `refill`.
@@ -19,20 +18,4 @@ fn refill(buf: &mut Vec<u8>) {
 // iotse-lint: allow(IOTSE-H13)
 pub fn tick_step_waived(buf: &mut Vec<u8>) {
     refill(buf);
-}
-
-// Restricted visibility is not public API: P08 must not ask for docs.
-pub(crate) struct ScratchIndex {
-    pub(crate) slots: usize,
-}
-
-pub(crate) fn reserve(index: &mut ScratchIndex) {
-    index.slots += 1;
-}
-
-// A `pub` item inside a private module is not public API either.
-mod internal {
-    pub fn helper() -> usize {
-        7
-    }
 }

@@ -1,17 +1,4 @@
-//! Fixture: public-item doc coverage in `core`.
+//! Fixture crate root for `core`.
 
 pub mod calibration;
 pub mod executor;
-
-/// A documented struct — clean.
-pub struct Documented;
-
-pub struct Undocumented; // IOTSE-P08
-
-/// Documented, with attributes between the doc and the item — clean.
-#[derive(Debug, Clone)]
-pub struct AttributedButDocumented;
-
-pub fn undocumented_fn() {} // IOTSE-P08
-
-pub(crate) fn restricted_needs_no_docs() {}

@@ -9,6 +9,7 @@
 use std::f64::consts::PI;
 use std::sync::Arc;
 
+use iotse_sim::hash::fingerprint128;
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};
 
@@ -86,7 +87,7 @@ impl AudioGenerator {
         let utterances = cache::memoized(
             "audio/utterances",
             seeds.derive("signal/audio"),
-            cache::fingerprint(&[count as u64, horizon.as_nanos()]),
+            fingerprint128(&[count as u64, horizon.as_nanos()]),
             || {
                 let mut rng = seeds.stream("signal/audio");
                 // Evenly spaced slots with a jitter that cannot cause overlap.

@@ -9,6 +9,7 @@
 use std::f64::consts::PI;
 use std::sync::Arc;
 
+use iotse_sim::hash::fingerprint128;
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::SimTime;
 
@@ -90,7 +91,7 @@ impl EcgGenerator {
         let beats = cache::memoized(
             "ecg/beats",
             seeds.derive("signal/ecg"),
-            cache::fingerprint(&[
+            fingerprint128(&[
                 profile.bpm.to_bits(),
                 profile.premature_fraction.to_bits(),
                 horizon.as_nanos(),

@@ -7,6 +7,7 @@
 //! encodes it, decodes it back (Huffman + dequant + IDCT), and asserts a
 //! PSNR floor against the original.
 
+use iotse_sim::hash::fingerprint128;
 use iotse_sim::rng::SeedTree;
 use iotse_sim::rng::SimRng;
 
@@ -105,7 +106,7 @@ impl ImageGenerator {
         let cached = cache::memoized(
             "image/frame",
             self.seeds.derive_indexed("frame/", index),
-            cache::fingerprint(&[self.width as u64, self.height as u64, index]),
+            fingerprint128(&[self.width as u64, self.height as u64, index]),
             || self.render(index),
         );
         (*cached).clone()

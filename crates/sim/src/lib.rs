@@ -20,7 +20,11 @@
 //!   telemetry layer's storage and alerting primitives).
 //! * [`rng`] — label-addressed deterministic RNG streams.
 //! * [`hash`] — FNV-1a 64, the one byte-string hash behind seed
-//!   derivation, trace interning and the corpus's output checksum.
+//!   derivation, trace interning and the corpus's output checksum, and
+//!   [`hash::Fingerprint128`], the 128-bit word fingerprint that keys the
+//!   memos.
+//! * [`memo`] — [`memo::Memo`], the bounded thread-safe memo behind the
+//!   compute and signal caches.
 //!
 //! # Examples
 //!
@@ -56,6 +60,7 @@
 pub mod engine;
 pub mod faults;
 pub mod hash;
+pub mod memo;
 pub mod metrics;
 pub mod queue;
 pub mod rng;

@@ -11,8 +11,7 @@
 //!
 //! Like everything in this crate the registry is plain data: no interior
 //! mutability, no globals, no background aggregation. A scenario owns its
-//! registry, and the fleet runner merges per-run [`MetricsReport`]s after
-//! the fact.
+//! registry and carries its [`MetricsReport`] on its result.
 //!
 //! # Examples
 //!
@@ -306,49 +305,6 @@ impl MetricsReport {
             .ok()
             .map(|i| &self.histograms[i])
     }
-
-    /// Merges `other` into this report: counters, histogram buckets and
-    /// sums add; gauges add too (across a fleet a gauge like
-    /// `iotse_energy_total_microjoules` reads as a per-scheme total —
-    /// callers wanting a mean divide by run count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same histogram name appears with different bounds —
-    /// reports from differently-configured registries cannot be merged.
-    pub fn merge(&mut self, other: &MetricsReport) {
-        for (name, value) in &other.counters {
-            match self.counters.binary_search_by(|(n, _)| n.cmp(name)) {
-                Ok(i) => self.counters[i].1 += value,
-                Err(i) => self.counters.insert(i, (name.clone(), *value)),
-            }
-        }
-        for (name, value) in &other.gauges {
-            match self.gauges.binary_search_by(|(n, _)| n.cmp(name)) {
-                Ok(i) => self.gauges[i].1 += value,
-                Err(i) => self.gauges.insert(i, (name.clone(), *value)),
-            }
-        }
-        for hist in &other.histograms {
-            match self.histograms.binary_search_by(|h| h.name.cmp(&hist.name)) {
-                Ok(i) => {
-                    let mine = &mut self.histograms[i];
-                    assert!(
-                        mine.bounds == hist.bounds,
-                        "cannot merge histogram `{}`: bucket bounds differ",
-                        hist.name
-                    );
-                    for (a, b) in mine.counts.iter_mut().zip(&hist.counts) {
-                        *a += b;
-                    }
-                    mine.overflow += hist.overflow;
-                    mine.count += hist.count;
-                    mine.sum += hist.sum;
-                }
-                Err(i) => self.histograms.insert(i, hist.clone()),
-            }
-        }
-    }
 }
 
 /// Fixed-bucket histogram over non-negative `f64` values, with an explicit
@@ -514,42 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_gauges_and_buckets() {
-        let mut a = MetricsRegistry::new();
-        let c = a.counter("iotse_sim_c_total");
-        let g = a.gauge("iotse_sim_g");
-        let h = a.histogram("iotse_sim_h", &[10.0]);
-        a.add(c, 3);
-        a.set_gauge(g, 1.5);
-        a.observe(h, 5.0);
-
-        let mut b = MetricsRegistry::new();
-        let c2 = b.counter("iotse_sim_c_total");
-        let g2 = b.gauge("iotse_sim_g");
-        let h2 = b.histogram("iotse_sim_h", &[10.0]);
-        let only = b.counter("iotse_sim_only_total");
-        b.add(c2, 4);
-        b.set_gauge(g2, 2.5);
-        b.observe(h2, 50.0);
-        b.inc(only);
-
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.counter("iotse_sim_c_total"), Some(7));
-        assert_eq!(merged.counter("iotse_sim_only_total"), Some(1));
-        assert_eq!(merged.gauge("iotse_sim_g"), Some(4.0));
-        let snap = &merged.histograms[0];
-        assert_eq!(snap.counts, vec![1]);
-        assert_eq!(snap.overflow, 1);
-        assert_eq!(snap.sum, 55.0);
-        // names still sorted after inserts
-        let names: Vec<&str> = merged.counters.iter().map(|(n, _)| n.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-    }
-
-    #[test]
     fn histogram_lookup_by_name() {
         let mut reg = MetricsRegistry::new();
         let h = reg.histogram("iotse_sim_h_ms", &[1.0, 10.0]);
@@ -604,50 +524,5 @@ mod tests {
 
     fn report_histogram(reg: &MetricsRegistry) -> HistogramSnapshot {
         reg.snapshot().histograms[0].clone()
-    }
-
-    /// Pins the gauge merge contract: gauges *add* (they are per-run
-    /// totals), they do not last-write-win or average. A fleet mean is
-    /// `merged / runs`, computed by the caller.
-    #[test]
-    fn merge_gauges_add_not_overwrite() {
-        let mut a = MetricsRegistry::new();
-        let g = a.gauge("iotse_sim_total_uj");
-        a.set_gauge(g, 10.0);
-        let mut b = MetricsRegistry::new();
-        let g2 = b.gauge("iotse_sim_total_uj");
-        b.set_gauge(g2, 4.0);
-
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.gauge("iotse_sim_total_uj"), Some(18.0));
-        // Order-independence: b+a folds to the same sum as a+b.
-        let mut other = b.snapshot();
-        other.merge(&a.snapshot());
-        assert_eq!(other.gauge("iotse_sim_total_uj"), Some(14.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket bounds differ")]
-    fn merge_mismatched_histogram_bounds_panics() {
-        let mut a = MetricsRegistry::new();
-        a.histogram("iotse_sim_h_ms", &[1.0, 2.0]);
-        let mut b = MetricsRegistry::new();
-        b.histogram("iotse_sim_h_ms", &[1.0, 4.0]);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-    }
-
-    #[test]
-    fn merge_into_empty_copies_everything() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("iotse_sim_c_total");
-        reg.inc(c);
-        let mut empty = MetricsReport::default();
-        assert!(empty.is_empty());
-        empty.merge(&reg.snapshot());
-        assert_eq!(empty.counter("iotse_sim_c_total"), Some(1));
-        assert!(!empty.is_empty());
     }
 }

@@ -303,22 +303,6 @@ impl fmt::Display for Alert {
     }
 }
 
-/// Nearest-rank percentile of an **already sorted** slice (`q` in
-/// `[0, 1]`). Returns `None` on an empty slice. Used by the fleet-level
-/// per-window aggregation: exact order statistics, no interpolation, so
-/// the reported value is always one a device actually produced.
-#[must_use]
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let q = q.clamp(0.0, 1.0);
-    // Nearest-rank: ceil(q * n), 1-based, clamped into the slice.
-    let n = sorted.len();
-    let rank = (q * n as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, n) - 1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,17 +447,5 @@ mod tests {
             "t=3000.000ms window=2 iotse_energy_stack_workload_total_microjoules over budget: \
              observed 7.000 vs budget 5.000"
         );
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile_sorted(&v, 0.0), Some(1.0));
-        assert_eq!(percentile_sorted(&v, 0.5), Some(2.0));
-        assert_eq!(percentile_sorted(&v, 0.75), Some(3.0));
-        assert_eq!(percentile_sorted(&v, 0.9), Some(4.0));
-        assert_eq!(percentile_sorted(&v, 1.0), Some(4.0));
-        assert_eq!(percentile_sorted(&[], 0.5), None);
-        assert_eq!(percentile_sorted(&[9.0], 0.5), Some(9.0));
     }
 }
