@@ -111,4 +111,19 @@ mod tests {
         assert_eq!(*memoized("test/key", 1, 2, || 40u64), 40);
         assert_eq!(*base, 10);
     }
+
+    #[test]
+    fn concurrent_cold_lookups_agree() {
+        let results: Vec<Arc<Vec<u8>>> = std::thread::scope(|s| {
+            (0..8)
+                .map(|_| s.spawn(|| memoized("test/race", 0xBEEF, 7, || vec![42u8; 1000])))
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
+        });
+        for r in &results {
+            assert_eq!(**r, vec![42u8; 1000]);
+        }
+    }
 }
