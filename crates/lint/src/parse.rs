@@ -4,9 +4,9 @@
 //! (`IOTSE-M11`/`S12`/`H13`) need to know *which function* a line belongs
 //! to, what that function's signature says, and how modules nest. This
 //! module recovers exactly that — and nothing more — from the
-//! comment/string-blanked `code` view: items (`fn`, `impl`, `mod`,
-//! `struct`, `enum`, `trait`, `const`, …) with their visibility, nesting
-//! and 1-based line spans. Function *bodies* are kept as flat token
+//! comment/string-blanked `code` view: functions with their signatures,
+//! owners and 1-based line spans, `impl` and `trait` blocks, and struct
+//! fields; other items are stepped over. Function *bodies* are kept as flat token
 //! streams; no expression grammar, no type checking, no `syn` (the build
 //! environment has no registry access).
 //!
@@ -71,17 +71,6 @@ pub fn tokenize(file: &SourceFile) -> Vec<Token> {
     toks
 }
 
-/// Item visibility, as written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vis {
-    /// Plain `pub`.
-    Pub,
-    /// `pub(crate)`, `pub(super)`, `pub(in …)` — restricted, not public API.
-    Restricted,
-    /// No `pub` at all.
-    Private,
-}
-
 /// An `impl` block (or a `trait` declaration, which hosts default bodies).
 #[derive(Debug, Clone)]
 pub struct ImplBlock {
@@ -117,8 +106,6 @@ pub struct FnItem {
     /// Enclosing `impl`/`trait` block, as an index into
     /// [`ParsedFile::impls`].
     pub owner: Option<usize>,
-    /// Visibility as written.
-    pub vis: Vis,
     /// `true` when the item sits inside a `#[cfg(test)]` module.
     pub is_test: bool,
     /// `true` when a `// iotse-lint: hot-path` marker sits directly above
@@ -130,22 +117,6 @@ pub struct FnItem {
     /// an argument-position `impl Trait`, or sits in a generic
     /// [`ImplBlock`]: it is compiled in each caller's crate.
     pub generic: bool,
-}
-
-/// A non-function item.
-#[derive(Debug, Clone)]
-pub struct ItemDecl {
-    /// Item keyword: `struct`, `enum`, `trait`, `const`, `static`, `type`,
-    /// `mod`, `union`.
-    pub kind: &'static str,
-    /// Item name.
-    pub name: String,
-    /// 1-based line of the item keyword.
-    pub line: usize,
-    /// Visibility as written.
-    pub vis: Vis,
-    /// `true` when inside a `#[cfg(test)]` module.
-    pub is_test: bool,
 }
 
 /// A named struct field with its type text (`seeds: SeedTree`).
@@ -168,8 +139,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// All `impl` blocks and `trait` declarations.
     pub impls: Vec<ImplBlock>,
-    /// Non-function items.
-    pub items: Vec<ItemDecl>,
     /// Named struct fields.
     pub fields: Vec<FieldDecl>,
 }
@@ -181,7 +150,6 @@ impl ParsedFile {
         let tokens = tokenize(file);
         let mut fns = Vec::new();
         let mut impls = Vec::new();
-        let mut items = Vec::new();
         let mut fields = Vec::new();
         let mut p = Parser {
             file,
@@ -189,7 +157,6 @@ impl ParsedFile {
             i: 0,
             fns: &mut fns,
             impls: &mut impls,
-            items: &mut items,
             fields: &mut fields,
             pending_inline: false,
         };
@@ -198,7 +165,6 @@ impl ParsedFile {
             tokens,
             fns,
             impls,
-            items,
             fields,
         }
     }
@@ -219,7 +185,6 @@ struct Parser<'a> {
     i: usize,
     fns: &'a mut Vec<FnItem>,
     impls: &'a mut Vec<ImplBlock>,
-    items: &'a mut Vec<ItemDecl>,
     fields: &'a mut Vec<FieldDecl>,
     /// Set by an `#[inline]`/`#[inline(always)]` attribute, taken by the
     /// item that follows it.
@@ -355,16 +320,14 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_vis(&mut self) -> Vis {
-        if self.peek_text() != "pub" {
-            return Vis::Private;
+    /// Steps over a `pub`, `pub(crate)`, `pub(super)` or `pub(in …)`.
+    fn skip_vis(&mut self) {
+        if self.peek_text() == "pub" {
+            self.bump();
+            if self.peek_text() == "(" {
+                self.consume_balanced('(', ')');
+            }
         }
-        self.bump();
-        if self.peek_text() == "(" {
-            self.consume_balanced('(', ')');
-            return Vis::Restricted;
-        }
-        Vis::Pub
     }
 
     /// `true` if the comment block directly above `line` (walking over
@@ -401,7 +364,7 @@ impl Parser<'_> {
                 continue;
             }
             let inline = std::mem::take(&mut self.pending_inline);
-            let vis = self.parse_vis();
+            self.skip_vis();
             // Modifier keywords that may precede `fn`.
             let mut k = self.i;
             while matches!(
@@ -424,7 +387,7 @@ impl Parser<'_> {
             match kw.as_str() {
                 "fn" => {
                     self.i = k;
-                    self.parse_fn(owner, vis, inline);
+                    self.parse_fn(owner, inline);
                 }
                 "impl" => {
                     self.i = k;
@@ -432,19 +395,19 @@ impl Parser<'_> {
                 }
                 "trait" => {
                     self.i = k;
-                    self.parse_trait(vis);
+                    self.parse_trait();
                 }
                 "mod" => {
                     self.i = k;
-                    self.parse_mod(vis);
+                    self.parse_mod();
                 }
                 "struct" | "enum" | "union" => {
                     self.i = k;
-                    self.parse_adt(vis);
+                    self.parse_adt();
                 }
                 "const" | "static" | "type" => {
                     self.i = k;
-                    self.parse_simple_decl(vis);
+                    self.skip_simple_decl();
                 }
                 "use" | "macro_rules" => {
                     self.i = k;
@@ -478,7 +441,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_fn(&mut self, owner: Option<usize>, vis: Vis, inline: bool) {
+    fn parse_fn(&mut self, owner: Option<usize>, inline: bool) {
         let fn_line = self.toks[self.i].line;
         let sig_start = self.i;
         self.bump(); // fn
@@ -531,7 +494,6 @@ impl Parser<'_> {
             body: (body_start, body_end),
             body_lines,
             owner,
-            vis,
             is_test: self.file.in_test_span(fn_line),
         });
         // Items nested inside the body (local fns, helper structs) are
@@ -557,7 +519,7 @@ impl Parser<'_> {
                     .unwrap_or_default();
                 if prev != ":" && prev != "dyn" && prev != "impl" && prev != "&" {
                     let save_len = self.fns.len();
-                    self.parse_fn(owner, Vis::Private, false);
+                    self.parse_fn(owner, false);
                     if self.fns.len() > save_len {
                         continue;
                     }
@@ -632,19 +594,12 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_trait(&mut self, vis: Vis) {
+    fn parse_trait(&mut self) {
         let line = self.toks[self.i].line;
         self.bump(); // trait
         let name = self.peek().filter(|t| t.ident).map(|t| t.text.clone());
         let Some(name) = name else { return };
         self.bump();
-        self.items.push(ItemDecl {
-            kind: "trait",
-            name: name.clone(),
-            line,
-            vis,
-            is_test: self.file.in_test_span(line),
-        });
         while !matches!(self.peek_text(), "" | "{" | ";") {
             if self.peek_text() == "<" {
                 self.consume_generics();
@@ -669,21 +624,13 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_mod(&mut self, vis: Vis) {
-        let line = self.toks[self.i].line;
+    fn parse_mod(&mut self) {
         self.bump(); // mod
-        let name = self.peek().filter(|t| t.ident).map(|t| t.text.clone());
-        let Some(name) = name else { return };
+        if !self.peek().is_some_and(|t| t.ident) {
+            return;
+        }
         self.bump();
-        let external = self.peek_text() == ";";
-        self.items.push(ItemDecl {
-            kind: "mod",
-            name,
-            line,
-            vis,
-            is_test: self.file.in_test_span(line),
-        });
-        if external {
+        if self.peek_text() == ";" {
             self.bump();
         } else if self.peek_text() == "{" {
             self.bump();
@@ -691,24 +638,12 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_adt(&mut self, vis: Vis) {
-        let kind: &'static str = match self.peek_text() {
-            "struct" => "struct",
-            "enum" => "enum",
-            _ => "union",
-        };
-        let line = self.toks[self.i].line;
+    fn parse_adt(&mut self) {
+        let is_struct = self.peek_text() == "struct";
         self.bump();
         let name = self.peek().filter(|t| t.ident).map(|t| t.text.clone());
         let Some(name) = name else { return };
         self.bump();
-        self.items.push(ItemDecl {
-            kind,
-            name: name.clone(),
-            line,
-            vis,
-            is_test: self.file.in_test_span(line),
-        });
         if self.peek_text() == "<" {
             self.consume_generics();
         }
@@ -721,7 +656,7 @@ impl Parser<'_> {
         }
         match self.peek_text() {
             "{" => {
-                if kind == "struct" {
+                if is_struct {
                     self.parse_struct_fields(&name);
                 } else {
                     self.consume_balanced('{', '}');
@@ -754,7 +689,7 @@ impl Parser<'_> {
                 }
                 _ => {}
             }
-            let _ = self.parse_vis();
+            self.skip_vis();
             let (name_ok, field_name) = match self.peek() {
                 Some(t) if t.ident => (true, t.text.clone()),
                 _ => (false, String::new()),
@@ -789,32 +724,15 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_simple_decl(&mut self, vis: Vis) {
-        let kind: &'static str = match self.peek_text() {
-            "const" => "const",
-            "static" => "static",
-            _ => "type",
-        };
-        let line = self.toks[self.i].line;
+    /// Steps over a `const`, `static` or `type` item.
+    fn skip_simple_decl(&mut self) {
         self.bump();
         if self.peek_text() == "mut" {
             self.bump();
         }
-        let Some(name) = self.peek().filter(|t| t.ident).map(|t| t.text.clone()) else {
-            return;
-        };
-        if name == "_" {
+        if self.peek().is_some_and(|t| t.ident) {
             self.consume_to_semi();
-            return;
         }
-        self.items.push(ItemDecl {
-            kind,
-            name,
-            line,
-            vis,
-            is_test: self.file.in_test_span(line),
-        });
-        self.consume_to_semi();
     }
 }
 
@@ -868,10 +786,8 @@ mod tests {
         let p = parse("pub fn a(x: u8) -> u8 {\n    helper(x)\n}\nfn helper(x: u8) -> u8 { x }\n");
         assert_eq!(p.fns.len(), 2);
         assert_eq!(p.fns[0].name, "a");
-        assert_eq!(p.fns[0].vis, Vis::Pub);
         assert_eq!(p.fns[0].body_lines, (1, 3));
         assert_eq!(p.fns[1].name, "helper");
-        assert_eq!(p.fns[1].vis, Vis::Private);
         assert!(p.fns[0].sig.contains("fn a"));
     }
 
@@ -901,10 +817,10 @@ mod tests {
 
     #[test]
     fn restricted_visibility_is_tracked() {
+        // A restricted visibility is stepped over, not taken for an item.
         let p = parse("pub(crate) fn a() {}\npub(super) struct B;\npub fn c() {}\n");
-        assert_eq!(p.fns[0].vis, Vis::Restricted);
-        assert_eq!(p.items[0].vis, Vis::Restricted);
-        assert_eq!(p.fns[1].vis, Vis::Pub);
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["a", "c"]);
     }
 
     #[test]
@@ -949,8 +865,6 @@ mod tests {
     #[test]
     fn const_fn_and_const_item_are_distinguished() {
         let p = parse("pub const MAX: usize = 3;\npub const fn zero() -> u8 { 0 }\n");
-        assert_eq!(p.items.len(), 1);
-        assert_eq!(p.items[0].kind, "const");
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "zero");
     }
