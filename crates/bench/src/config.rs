@@ -286,7 +286,7 @@ mod tests {
             utterance_count: 3,
             ..WorldConfig::default()
         };
-        let off_path: [(&str, Scenario); 9] = [
+        let off_path: [(&str, Scenario); 8] = [
             ("world", plain().world(quiet_world)),
             ("calibration", plain().calibration(slow_cpu)),
             (
@@ -295,7 +295,6 @@ mod tests {
             ),
             ("timeline", plain().with_timeline()),
             ("trace", plain().with_trace()),
-            ("metrics", plain().with_metrics()),
             ("telemetry", plain().with_telemetry()),
             (
                 "scaled MCU",

@@ -11,16 +11,16 @@
 //!   Perfetto's legacy importer): spans become `"ph":"X"` complete duration
 //!   events, point events become `"ph":"i"` instants, and the reconstructed
 //!   hub power waveform becomes a `"ph":"C"` counter track.
-//! * [`prometheus`] — the Prometheus text exposition format for a
-//!   [`MetricsReport`] (counters, gauges, and cumulative-bucket
-//!   histograms).
+//! * [`prometheus`] — the Prometheus text exposition format for a run
+//!   (counters, gauges, cumulative-bucket histograms and the telemetry
+//!   gauges), derived from the [`RunResult`] alone.
 
 use std::fmt::Write as _;
 
+use iotse_core::telemetry::APP_SERIES;
 use iotse_core::{Calibration, RunResult, Telemetry};
-use iotse_energy::attribution::Routine;
+use iotse_energy::attribution::{Device, Routine};
 use iotse_energy::stacks::stack_series_name;
-use iotse_sim::metrics::MetricsReport;
 use iotse_sim::trace::{FieldValue, Fields};
 
 /// The short routine key used in exported labels (`interrupt`,
@@ -312,38 +312,114 @@ fn prom_number(v: f64) -> String {
     }
 }
 
-/// Renders a [`MetricsReport`] in the Prometheus text exposition format:
-/// a `# TYPE` line per family, cumulative `_bucket{le="..."}` series plus
-/// `_sum`/`_count` for histograms. Families appear in name order (the
-/// report is already stable-sorted).
-#[must_use]
-pub fn prometheus(report: &MetricsReport) -> String {
-    let mut out = String::new();
-    for (name, value) in &report.counters {
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
+/// A Prometheus text exposition under construction: each family is a
+/// `# TYPE` line and its samples. Every method takes the family's name
+/// first, as a literal on the call line, so lint rule IOTSE-M09 checks
+/// each exported name.
+struct Families(String);
+
+impl Families {
+    fn counter(&mut self, name: &str, value: u64) {
+        let _ = writeln!(self.0, "# TYPE {name} counter\n{name} {value}");
     }
-    for (name, value) in &report.gauges {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {}", prom_number(*value));
+
+    fn gauge(&mut self, name: &str, value: f64) {
+        let _ = writeln!(self.0, "# TYPE {name} gauge\n{name} {}", prom_number(value));
     }
-    for hist in &report.histograms {
-        let _ = writeln!(out, "# TYPE {} histogram", hist.name);
+
+    /// Folds `values` into cumulative `_bucket{le="..."}` samples (a value
+    /// counts in the first bucket whose bound exceeds it, or only in
+    /// `+Inf`), then `_sum`, added in iteration order, and `_count`.
+    fn histogram<const N: usize>(
+        &mut self,
+        name: &str,
+        bounds: [f64; N],
+        values: impl Iterator<Item = f64>,
+    ) {
+        let mut counts = [0u64; N];
+        let (mut count, mut sum) = (0u64, 0.0);
+        for x in values {
+            if let Some(i) = bounds.iter().position(|&b| x < b) {
+                counts[i] += 1;
+            }
+            count += 1;
+            sum += x;
+        }
+        let out = &mut self.0;
+        let _ = writeln!(out, "# TYPE {name} histogram");
         let mut cumulative = 0u64;
-        for (bound, count) in hist.bounds.iter().zip(&hist.counts) {
-            cumulative += count;
+        for (bound, n) in bounds.iter().zip(counts) {
+            cumulative += n;
             let _ = writeln!(
                 out,
-                "{}_bucket{{le=\"{}\"}} {cumulative}",
-                hist.name,
+                "{name}_bucket{{le=\"{}\"}} {cumulative}",
                 prom_number(*bound)
             );
         }
-        let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", hist.name, hist.count);
-        let _ = writeln!(out, "{}_sum {}", hist.name, prom_number(hist.sum));
-        let _ = writeln!(out, "{}_count {}", hist.name, hist.count);
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+        let _ = writeln!(out, "{name}_sum {}", prom_number(sum));
+        let _ = writeln!(out, "{name}_count {count}");
     }
-    out
+}
+
+/// Renders a run in the Prometheus text exposition format. Counters come
+/// from the result's fields, gauges from its ledger (microjoules), the
+/// transfer-size histogram from the transfer spans' `bytes` fields and the
+/// slack histogram from the QoS events in trace order, so both histograms
+/// are empty unless the run was traced. Within each kind the families
+/// appear in name order. The fault counters appear only when a fault
+/// fired; the telemetry counters, and the telemetry families after the
+/// histograms, only when the run recorded telemetry.
+// Unformatted so that each family's name stays on its call line, where
+// IOTSE-M09 reads it.
+#[rustfmt::skip]
+#[must_use]
+pub fn prometheus(result: &RunResult) -> String {
+    let mut w = Families(String::new());
+    let faults = (result.faults.faults_injected > 0).then_some(&result.faults);
+    if let Some(f) = faults {
+        w.counter("iotse_core_bytes_corrupted_total", f.bytes_corrupted);
+        w.counter("iotse_core_faults_injected_total", f.faults_injected);
+    }
+    w.counter("iotse_core_forced_flushes_total", result.mcu.forced_flushes);
+    w.counter("iotse_core_interrupts_total", result.interrupts);
+    w.counter("iotse_core_qos_misses_total", result.qos_violations() as u64);
+    if let Some(f) = faults {
+        w.counter("iotse_core_samples_dropped_total", f.samples_dropped);
+    }
+    w.counter("iotse_core_sensor_reads_total", result.sensor_reads);
+    if let (Some(tel), Some(points)) = (&result.telemetry, result.telemetry_points()) {
+        w.counter("iotse_core_telemetry_alerts_total", tel.alerts.len() as u64);
+        w.counter("iotse_core_telemetry_detector_evals_total", tel.detector_evals);
+        w.counter("iotse_core_telemetry_points_total", points);
+    }
+    w.counter("iotse_core_transfer_bytes_total", result.bytes_transferred);
+    let windows = result.windows_completed() as u64;
+    w.counter("iotse_core_windows_completed_total", windows);
+
+    let ledger = &result.ledger;
+    let device = |d| ledger.device_total(d).as_microjoules();
+    let routine = |r| ledger.routine_total(r).as_microjoules();
+    w.gauge("iotse_energy_device_cpu_microjoules", device(Device::Cpu));
+    w.gauge("iotse_energy_device_link_microjoules", device(Device::Link));
+    w.gauge("iotse_energy_device_mcu_microjoules", device(Device::Mcu));
+    w.gauge("iotse_energy_device_sensor_microjoules", device(Device::Sensor));
+    w.gauge("iotse_energy_routine_app_compute_microjoules", routine(Routine::AppCompute));
+    w.gauge("iotse_energy_routine_data_collection_microjoules", routine(Routine::DataCollection));
+    w.gauge("iotse_energy_routine_data_transfer_microjoules", routine(Routine::DataTransfer));
+    w.gauge("iotse_energy_routine_idle_microjoules", routine(Routine::Idle));
+    w.gauge("iotse_energy_routine_interrupt_microjoules", routine(Routine::Interrupt));
+    w.gauge("iotse_energy_total_microjoules", ledger.total().as_microjoules());
+
+    let sizes = result.transfer_sizes().map(|bytes| bytes as f64);
+    w.histogram("iotse_core_transfer_bytes", [16.0, 256.0, 4096.0, 65536.0], sizes);
+    let slack = result.qos_slack_ms();
+    w.histogram("iotse_core_window_slack_ms", [250.0, 500.0, 1000.0, 2000.0], slack);
+
+    if let Some(tel) = &result.telemetry {
+        write_telemetry(&mut w.0, result, tel);
+    }
+    w.0
 }
 
 /// Escapes a Prometheus label value. The text exposition format allows
@@ -362,16 +438,13 @@ fn prom_label_escape(s: &str) -> String {
     out
 }
 
-/// Renders a run's windowed telemetry in the Prometheus text exposition
-/// format, for appending after [`prometheus`]: every stack and app series
-/// point becomes a `{window="N"}`-labeled gauge sample (app series carry
-/// an `app` label too), followed by a per-series alert count family.
-/// Everything is emitted in fixed order (routine series in
-/// [`Routine::ALL`] order, apps in scenario order), so the text is
-/// byte-identical across runs and `--jobs` levels.
-#[must_use]
-pub fn prometheus_telemetry(tel: &Telemetry) -> String {
-    let mut out = String::new();
+/// Appends a run's windowed telemetry in the Prometheus text exposition
+/// format: every stack series point and every window of each of the
+/// [`APP_SERIES`] becomes a `{window="N"}`-labeled gauge sample (app
+/// series carry an `app` label too), followed by a per-series alert count
+/// family. Everything is emitted in fixed order (routine series in
+/// [`Routine::ALL`] order, apps in scenario order).
+fn write_telemetry(out: &mut String, result: &RunResult, tel: &Telemetry) {
     for series in tel.stacks.all_series() {
         let _ = writeln!(out, "# TYPE {} gauge", series.name());
         for (w, &(_, v)) in series.points().iter().enumerate() {
@@ -383,37 +456,18 @@ pub fn prometheus_telemetry(tel: &Telemetry) -> String {
             );
         }
     }
-    if !tel.apps.is_empty() {
-        let _ = writeln!(
-            out,
-            "# TYPE {} gauge",
-            iotse_core::telemetry::APP_SLACK_SERIES
-        );
-        for app in &tel.apps {
-            let name = prom_label_escape(&app.name);
-            for (w, &(_, v)) in app.slack_ms.points().iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "{}{{app=\"{name}\",window=\"{w}\"}} {}",
-                    iotse_core::telemetry::APP_SLACK_SERIES,
-                    prom_number(v)
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "# TYPE {} gauge",
-            iotse_core::telemetry::APP_PROCESSING_SERIES
-        );
-        for app in &tel.apps {
-            let name = prom_label_escape(&app.name);
-            for (w, &(_, v)) in app.processing_ms.points().iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "{}{{app=\"{name}\",window=\"{w}\"}} {}",
-                    iotse_core::telemetry::APP_PROCESSING_SERIES,
-                    prom_number(v)
-                );
+    if !result.apps.is_empty() {
+        for (series, value) in APP_SERIES {
+            let _ = writeln!(out, "# TYPE {series} gauge");
+            for app in &result.apps {
+                let name = prom_label_escape(&app.name);
+                for (w, window) in app.windows.iter().enumerate() {
+                    let _ = writeln!(
+                        out,
+                        "{series}{{app=\"{name}\",window=\"{w}\"}} {}",
+                        prom_number(value(window))
+                    );
+                }
             }
         }
     }
@@ -440,14 +494,12 @@ pub fn prometheus_telemetry(tel: &Telemetry) -> String {
         let _ = writeln!(out, "# TYPE iotse_core_telemetry_alerts gauge");
         out.push_str(&alert_lines);
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iotse_core::{Scenario, Scheme};
-    use iotse_sim::metrics::MetricsRegistry;
 
     fn traced_run() -> RunResult {
         Scenario::new(
@@ -458,7 +510,6 @@ mod tests {
         .seed(42)
         .with_trace()
         .with_timeline()
-        .with_metrics()
         .run()
     }
 
@@ -666,9 +717,8 @@ mod tests {
         assert_eq!(prom_label_escape(name), "Step\tcounter \\\"v2\\\"\\\\\\n");
         assert_eq!(prom_label_escape("Step counter"), "Step counter");
         let mut result = telemetry_run();
-        let tel = result.telemetry.as_mut().expect("telemetry on");
-        tel.apps[0].name = name.to_string();
-        let text = prometheus_telemetry(tel);
+        result.apps[0].name = name.to_string();
+        let text = prometheus(&result);
         assert!(text.contains(
             "iotse_core_app_slack_ms{app=\"Step\tcounter \\\"v2\\\"\\\\\\n\",window=\"0\"}"
         ));
@@ -676,17 +726,13 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_shape() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("iotse_bench_things_total");
-        reg.add(c, 7);
-        let g = reg.gauge("iotse_bench_level");
-        reg.set_gauge(g, 2.5);
-        let h = reg.histogram("iotse_bench_sizes", &[10.0, 100.0]);
-        reg.observe(h, 5.0);
-        reg.observe(h, 50.0);
-        reg.observe(h, 500.0);
-        let text = prometheus(&reg.snapshot());
+    fn families_write_cumulative_buckets() {
+        let mut w = Families(String::new());
+        w.counter("iotse_bench_things_total", 7);
+        w.gauge("iotse_bench_level", 2.5);
+        // 10.0 is not below the first bound, so it counts in the second.
+        let values = [5.0, 10.0, 50.0, 500.0].into_iter();
+        w.histogram("iotse_bench_sizes", [10.0, 100.0], values);
         let expected = "\
 # TYPE iotse_bench_things_total counter
 iotse_bench_things_total 7
@@ -694,12 +740,56 @@ iotse_bench_things_total 7
 iotse_bench_level 2.5
 # TYPE iotse_bench_sizes histogram
 iotse_bench_sizes_bucket{le=\"10\"} 1
-iotse_bench_sizes_bucket{le=\"100\"} 2
-iotse_bench_sizes_bucket{le=\"+Inf\"} 3
-iotse_bench_sizes_sum 555
-iotse_bench_sizes_count 3
+iotse_bench_sizes_bucket{le=\"100\"} 3
+iotse_bench_sizes_bucket{le=\"+Inf\"} 4
+iotse_bench_sizes_sum 565
+iotse_bench_sizes_count 4
 ";
-        assert_eq!(text, expected);
+        assert_eq!(w.0, expected);
+    }
+
+    #[test]
+    fn prometheus_exposition_shape() {
+        let result = traced_run();
+        let text = prometheus(&result);
+        // Counters, then gauges, then histograms, each kind in name order.
+        let families: Vec<(&str, &str)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split_once(' '))
+            .collect();
+        let mut sorted = families.clone();
+        let rank = |kind: &str| {
+            ["counter", "gauge", "histogram"]
+                .iter()
+                .position(|k| *k == kind)
+        };
+        sorted.sort_by_key(|&(name, kind)| (rank(kind), name));
+        assert_eq!(families, sorted);
+        assert_eq!(families.len(), 6 + 10 + 2, "{text}");
+        // Counters and gauges read the result; histograms fold its trace.
+        for line in [
+            format!("iotse_core_interrupts_total {}", result.interrupts),
+            format!("iotse_core_sensor_reads_total {}", result.sensor_reads),
+            format!(
+                "iotse_core_transfer_bytes_total {}",
+                result.bytes_transferred
+            ),
+            "iotse_core_windows_completed_total 1".to_string(),
+            format!(
+                "iotse_energy_total_microjoules {}",
+                prom_number(result.total_energy().as_microjoules())
+            ),
+            format!("iotse_core_transfer_bytes_sum {}", result.bytes_transferred),
+            format!(
+                "iotse_core_transfer_bytes_count {}",
+                result.transfer_sizes().count()
+            ),
+            "iotse_core_window_slack_ms_count 1".to_string(),
+        ] {
+            assert!(text.lines().any(|l| l == line), "no `{line}` in\n{text}");
+        }
+        assert!(!text.contains("fault"), "no fault fired");
     }
 
     fn telemetry_run() -> RunResult {
@@ -730,17 +820,12 @@ iotse_bench_sizes_count 3
     #[test]
     fn prometheus_telemetry_labels_every_point() {
         let result = telemetry_run();
-        let tel = result.telemetry.as_ref().expect("telemetry on");
-        let text = prometheus_telemetry(tel);
+        let text = prometheus(&result);
         assert!(text.contains("# TYPE iotse_energy_stack_interrupt_microjoules gauge"));
         assert!(text.contains("iotse_energy_stack_idle_microjoules{window=\"1\"}"));
         assert!(text.contains("iotse_core_app_slack_ms{app=\"Step counter\",window=\"0\"}"));
         // Deterministic byte-for-byte.
-        let again = telemetry_run();
-        assert_eq!(
-            text,
-            prometheus_telemetry(again.telemetry.as_ref().unwrap())
-        );
+        assert_eq!(text, prometheus(&telemetry_run()));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The observability drill-down behind the `inspect` binary.
 //!
-//! One scenario, full instrumentation (spans + metrics + phase timelines),
-//! rendered in the format of your choice:
+//! One scenario, full instrumentation (spans, phase timelines and
+//! telemetry), rendered in the format of your choice:
 //!
 //! * `chrome` — Chrome/Perfetto `trace_event` JSON ([`export::chrome_trace`]).
 //! * `folded` — inferno-compatible collapsed energy stacks
 //!   ([`iotse_energy::flame`]), pipe into a flamegraph renderer.
 //! * `table` — the per-label self/total energy rollup in microjoules.
-//! * `metrics` — the Prometheus text exposition ([`export::prometheus`]).
+//! * `metrics` — the Prometheus text exposition ([`export::prometheus`]),
+//!   derived from the finished run.
 //! * `timeline` — Figure-5-style CPU/MCU power-state strips plus the span
 //!   summary, for a terminal-only look at a run.
 //!
@@ -133,8 +134,8 @@ impl Default for InspectRequest {
     }
 }
 
-/// Runs the request's scenario with spans, metrics and phase timelines all
-/// recording, through a [`Fleet`] of `jobs` workers.
+/// Runs the request's scenario with spans, phase timelines and telemetry
+/// all recording, through a [`Fleet`] of `jobs` workers.
 #[must_use]
 pub fn run(req: &InspectRequest) -> RunResult {
     let mut scenario = Scenario::new(req.scheme, iotse_apps::catalog::apps(&req.apps, req.seed))
@@ -142,7 +143,6 @@ pub fn run(req: &InspectRequest) -> RunResult {
         .seed(req.seed)
         .with_trace()
         .with_timeline()
-        .with_metrics()
         .with_telemetry();
     if !req.faults.is_empty() {
         scenario = scenario.faults(req.faults.clone());
@@ -159,16 +159,7 @@ pub fn render(result: &RunResult, format: InspectFormat) -> String {
         InspectFormat::Chrome => export::chrome_trace(result, &Calibration::paper()),
         InspectFormat::Folded => flame::fold(&result.trace).folded(),
         InspectFormat::Table => flame::fold(&result.trace).table(),
-        InspectFormat::Metrics => {
-            let mut text = result
-                .metrics
-                .as_ref()
-                .map_or_else(String::new, export::prometheus);
-            if let Some(tel) = &result.telemetry {
-                text.push_str(&export::prometheus_telemetry(tel));
-            }
-            text
-        }
+        InspectFormat::Metrics => export::prometheus(result),
         InspectFormat::Timeline => render_timeline(result),
         InspectFormat::Stacks => render_stacks(result),
         InspectFormat::Alerts => render_alerts(result),
@@ -204,7 +195,7 @@ fn render_timeline(result: &RunResult) -> String {
         let _ = writeln!(out, "CPU : {}", render_strip(&cpu, horizon, 100));
         let _ = writeln!(out, "MCU : {}", render_strip(&mcu, horizon, 100));
     }
-    let s = result.spans;
+    let s = result.trace.summary();
     let _ = writeln!(
         out,
         "spans: {} (depth {}), events: {}, attributed energy: {:.3} uJ",
@@ -290,38 +281,43 @@ fn render_alerts(result: &RunResult) -> String {
     out
 }
 
-/// The `series` rendering: a raw dump of every recorded time series —
-/// stack series first ([`Routine::ALL`] order), then each app's QoS
-/// series — one `t_ms value` line per point.
+/// The `series` rendering: a raw dump of every telemetry time series —
+/// stack series first ([`Routine::ALL`] order), then each app's
+/// [`APP_SERIES`] read from its windows — one `t_ms value` line per
+/// point.
+///
+/// [`APP_SERIES`]: iotse_core::telemetry::APP_SERIES
 fn render_series(result: &RunResult) -> String {
     let mut out = String::new();
     let Some(tel) = &result.telemetry else {
         let _ = writeln!(out, "telemetry not recorded (run with with_telemetry)");
         return out;
     };
-    let mut dump = |label: String, series: &iotse_sim::timeseries::TimeSeries| {
+    for series in tel.stacks.all_series() {
         let _ = writeln!(
             out,
-            "series {label} points={} dropped={}",
+            "series {} points={} dropped={}",
+            series.name(),
             series.len(),
             series.dropped()
         );
         for &(t, v) in series.points() {
             let _ = writeln!(out, "  {:.3} {v:.3}", t.as_millis_f64());
         }
-    };
-    for series in tel.stacks.all_series() {
-        dump(series.name().to_string(), series);
     }
-    for app in &tel.apps {
-        dump(
-            format!("{} app={}", app.slack_ms.name(), app.name),
-            &app.slack_ms,
-        );
-        dump(
-            format!("{} app={}", app.processing_ms.name(), app.name),
-            &app.processing_ms,
-        );
+    for app in &result.apps {
+        for (series, value) in iotse_core::telemetry::APP_SERIES {
+            let points = app.windows.len();
+            let _ = writeln!(
+                out,
+                "series {series} app={} points={points} dropped=0",
+                app.name
+            );
+            for w in &app.windows {
+                let t = w.completed_at.as_millis_f64();
+                let _ = writeln!(out, "  {t:.3} {:.3}", value(w));
+            }
+        }
     }
     out
 }

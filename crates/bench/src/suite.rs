@@ -13,8 +13,8 @@
 //! * **kernel** — per-kernel runtime of all eleven Table 2 workloads,
 //!   computing over a real sensor window sampled from [`PhysicalWorld`].
 //! * **fleet** — scaling of the scenario fleet at 1/2/4/8 worker threads.
-//! * **overhead** — the cost of full observability (trace + metrics +
-//!   timelines) against a bare run of the same scenario.
+//! * **overhead** — the cost of full observability (trace and timelines)
+//!   against a bare run of the same scenario.
 //! * **compute_cache** — the five-scheme fleet over the two heaviest
 //!   memoizable kernels (A4 JPEG, A9 DTW) from a cleared compute cache,
 //!   cache on vs off, with deterministic hit/miss counters.
@@ -85,10 +85,11 @@ pub const REQUIRED_CASES: [&str; 2] = ["kernel/A4/kernel", "kernel/A9/kernel"];
 
 /// Adds the deterministic counters of one scenario run to `out`.
 fn record_run(out: &mut Counters, result: &RunResult) {
-    let (alerts_fired, series_points, detector_evals) =
-        result.telemetry.as_ref().map_or((0, 0, 0), |t| {
-            (t.alerts.len() as u64, t.points_recorded(), t.detector_evals)
-        });
+    let (alerts_fired, detector_evals) = result
+        .telemetry
+        .as_ref()
+        .map_or((0, 0), |t| (t.alerts.len() as u64, t.detector_evals));
+    let series_points = result.telemetry_points().unwrap_or(0);
     for (name, v) in [
         ("events", result.events_executed),
         ("bus_bytes", result.bytes_transferred),
@@ -280,10 +281,9 @@ pub fn cases() -> Vec<Case> {
             run: Box::new(move |out| {
                 let s = match mode {
                     Instrumentation::Bare => scenario(Scheme::Batching),
-                    Instrumentation::Full => scenario(Scheme::Batching)
-                        .with_trace()
-                        .with_metrics()
-                        .with_timeline(),
+                    Instrumentation::Full => {
+                        scenario(Scheme::Batching).with_trace().with_timeline()
+                    }
                     Instrumentation::Telemetry => scenario(Scheme::Batching).with_telemetry(),
                 };
                 record_run(out, &s.run());

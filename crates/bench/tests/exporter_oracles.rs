@@ -256,7 +256,7 @@ fn reference_timeline(result: &RunResult) -> String {
         let _ = writeln!(out, "CPU : {}", render_strip(&cpu, horizon, 100));
         let _ = writeln!(out, "MCU : {}", render_strip(&mcu, horizon, 100));
     }
-    let s = result.spans;
+    let s = result.trace.summary();
     let _ = writeln!(
         out,
         "spans: {} (depth {}), events: {}, attributed energy: {:.3} uJ",

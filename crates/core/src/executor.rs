@@ -23,7 +23,6 @@ use iotse_sensors::world::{PhysicalWorld, WorldConfig};
 use iotse_sim::engine::Engine;
 use iotse_sim::faults::{FaultKind, FaultPlan, FaultScript, SensorDisposition};
 use iotse_sim::hash::Fingerprint128;
-use iotse_sim::metrics::{HistogramId, MetricsRegistry, MetricsReport};
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};
 use iotse_sim::trace::{FieldValue, Label, SpanId, TraceKind, TraceLog};
@@ -34,7 +33,7 @@ use crate::cpu::{CpuAccount, GapPolicy, SleepPolicy};
 use crate::mcu::McuAccount;
 use crate::result::{AppFlow, AppRunReport, RoutineDurations, RunResult, WindowOutcome};
 use crate::scheme::Scheme;
-use crate::telemetry::{Telemetry, TelemetryConfig, TelemetryState};
+use crate::telemetry::{TelemetryConfig, TelemetryState};
 use crate::workload::{AppOutput, WindowData, Workload};
 
 /// Maximum Task-I retry attempts before a sample is recorded as lost.
@@ -62,7 +61,6 @@ pub struct Scenario {
     cal: Calibration,
     record_timeline: bool,
     trace: bool,
-    metrics: bool,
     telemetry: Option<TelemetryConfig>,
     compute_cache: bool,
     faults: Vec<FaultScript>,
@@ -94,7 +92,6 @@ impl Scenario {
             cal: Calibration::paper(),
             record_timeline: false,
             trace: false,
-            metrics: false,
             telemetry: None,
             compute_cache: true,
             faults: Vec::new(),
@@ -156,13 +153,6 @@ impl Scenario {
         self
     }
 
-    /// Collects an `iotse_core_*` / `iotse_energy_*` metrics report.
-    #[must_use]
-    pub fn with_metrics(mut self) -> Self {
-        self.metrics = true;
-        self
-    }
-
     /// Records windowed telemetry (per-routine energy stacks, per-app
     /// QoS series, streaming drift detectors) with the default
     /// [`TelemetryConfig`]. Off by default, and off means off: a run
@@ -214,8 +204,8 @@ impl Scenario {
     /// run each distinct scenario once and replay its result.
     ///
     /// `None` unless the scenario is plain: the default world, the paper
-    /// calibration, no fault scripts, no timeline, trace, metrics or
-    /// telemetry recording, and every app with a
+    /// calibration, no fault scripts, no timeline, trace or telemetry
+    /// recording, and every app with a
     /// [`Workload::fingerprint`]. A plain scenario's key folds the scheme,
     /// window count, seed, compute-cache flag and the apps' fingerprints in
     /// order. Every field is named below, so a new field does not compile
@@ -231,12 +221,11 @@ impl Scenario {
             cal,
             record_timeline,
             trace,
-            metrics,
             telemetry,
             compute_cache,
             faults,
         } = self;
-        let recording = *record_timeline || *trace || *metrics || telemetry.is_some();
+        let recording = *record_timeline || *trace || telemetry.is_some();
         if recording
             || !faults.is_empty()
             || *world != WorldConfig::default()
@@ -627,76 +616,6 @@ struct PendingWindow {
     ready: SimTime,
 }
 
-/// Live metric instruments (only the per-event histograms observe on the
-/// hot path; counters are filled from run totals at the end).
-struct MetricsState {
-    reg: MetricsRegistry,
-    transfer_bytes: HistogramId,
-    window_slack_ms: HistogramId,
-}
-
-impl MetricsState {
-    fn new() -> Self {
-        let mut reg = MetricsRegistry::new();
-        let transfer_bytes =
-            reg.histogram("iotse_core_transfer_bytes", &[16.0, 256.0, 4096.0, 65536.0]);
-        let window_slack_ms = reg.histogram(
-            "iotse_core_window_slack_ms",
-            &[250.0, 500.0, 1000.0, 2000.0],
-        );
-        MetricsState {
-            reg,
-            transfer_bytes,
-            window_slack_ms,
-        }
-    }
-
-    /// Fills the end-of-run counters straight from the totals the executor
-    /// already tracks, then snapshots the registry.
-    fn into_report(
-        mut self,
-        exec: &Exec,
-        apps: &[AppRunReport],
-        telemetry: Option<&Telemetry>,
-    ) -> MetricsReport {
-        let reg = &mut self.reg;
-        let c = reg.counter("iotse_core_interrupts_total");
-        reg.add(c, exec.interrupts);
-        let c = reg.counter("iotse_core_sensor_reads_total");
-        reg.add(c, exec.sensor_reads);
-        let c = reg.counter("iotse_core_transfer_bytes_total");
-        reg.add(c, exec.bytes_transferred);
-        let c = reg.counter("iotse_core_forced_flushes_total");
-        reg.add(c, exec.mcu.stats().forced_flushes);
-        let c = reg.counter("iotse_core_windows_completed_total");
-        reg.add(c, apps.iter().map(|a| a.windows.len() as u64).sum());
-        let c = reg.counter("iotse_core_qos_misses_total");
-        reg.add(c, apps.iter().map(|a| a.qos_violations() as u64).sum());
-        // Fault counters register only when a plan ran, so faults-off
-        // metric snapshots stay byte-identical to the pre-fault layer.
-        if let Some(stats) = exec.faults.as_ref().map(FaultPlan::stats) {
-            let c = reg.counter("iotse_core_faults_injected_total");
-            reg.add(c, stats.faults_injected);
-            let c = reg.counter("iotse_core_samples_dropped_total");
-            reg.add(c, stats.samples_dropped);
-            let c = reg.counter("iotse_core_bytes_corrupted_total");
-            reg.add(c, stats.bytes_corrupted);
-        }
-        // Telemetry counters register only when telemetry ran, so
-        // telemetry-off metric snapshots stay byte-identical.
-        if let Some(t) = telemetry {
-            let c = reg.counter("iotse_core_telemetry_points_total");
-            reg.add(c, t.points_recorded());
-            let c = reg.counter("iotse_core_telemetry_alerts_total");
-            reg.add(c, t.alerts.len() as u64);
-            let c = reg.counter("iotse_core_telemetry_detector_evals_total");
-            reg.add(c, t.detector_evals);
-        }
-        exec.ledger.export_metrics(reg);
-        reg.snapshot()
-    }
-}
-
 /// The executor state driven by the engine.
 struct Exec {
     /// Boxed for its heap placement: held inline, the world changed the
@@ -710,7 +629,6 @@ struct Exec {
     trace: TraceLog,
     /// Interned labels of the trace's call-site strings.
     sites: SiteLabels,
-    metrics: Option<MetricsState>,
     /// Routes memoizable kernels through [`crate::compute_cache`].
     compute_cache: bool,
     /// Ledger energy (µJ) already attributed to spans; see [`Exec::settle`].
@@ -792,7 +710,6 @@ impl Exec {
                 TraceLog::disabled()
             },
             sites: SiteLabels::default(),
-            metrics: s.metrics.then(MetricsState::new),
             compute_cache: s.compute_cache,
             assigned: 0.0,
             apps: Vec::new(),
@@ -813,14 +730,9 @@ impl Exec {
         // Windowed telemetry records on the `max_window` grid the run's
         // horizon is built from. All buffers are preallocated here, so
         // the per-window recording path never allocates (IOTSE-H13).
-        exec.telemetry = s.telemetry.map(|cfg| {
-            let app_meta = exec
-                .apps
-                .iter()
-                .map(|rt| (rt.workload.id(), rt.workload.name().to_string()))
-                .collect();
-            TelemetryState::new(&cfg, max_window, s.windows, app_meta)
-        });
+        exec.telemetry = s
+            .telemetry
+            .map(|cfg| TelemetryState::new(&cfg, max_window, s.windows));
 
         // Tick groups: BEAM merges same-rate shared sensors.
         exec.groups = build_groups(&exec.apps, s.scheme);
@@ -942,10 +854,6 @@ impl Exec {
                 windows: rt.outcomes,
             })
             .collect();
-        let metrics = self
-            .metrics
-            .take()
-            .map(|m| m.into_report(&self, &apps, telemetry.as_ref()));
         self.trace.shrink_to_fit();
         RunResult {
             scheme,
@@ -965,8 +873,6 @@ impl Exec {
             apps,
             cpu_timeline: self.cpu.take_timeline(),
             mcu_timeline: self.mcu.take_timeline(),
-            spans: self.trace.summary(),
-            metrics,
             telemetry,
             ledger: self.ledger,
             trace: self.trace,
@@ -1338,9 +1244,6 @@ impl Exec {
             .span_field_label(span, field, FieldValue::U64(bytes as u64));
         let dur = self.cal.transfer_time(wire_bytes);
         self.bytes_transferred += bytes as u64;
-        if let Some(m) = &mut self.metrics {
-            m.reg.observe(m.transfer_bytes, bytes as f64);
-        }
         // Without DMA both boards drive the bus for the whole transfer, so
         // it also waits for the wire; with DMA each pays only the setup.
         let dma = self.cal.dma_enabled;
@@ -1470,8 +1373,7 @@ impl Exec {
         }
     }
 
-    /// Emits the QoS event and slack observation for a finished window,
-    /// then files the outcome.
+    /// Emits the QoS event for a finished window, then files the outcome.
     fn record_outcome(&mut self, app: usize, outcome: WindowOutcome) {
         if self.trace.is_enabled() {
             let t = &mut self.trace;
@@ -1489,18 +1391,6 @@ impl Exec {
                     (window, FieldValue::U64(u64::from(outcome.window))),
                     (deadline, FieldValue::Time(outcome.deadline)),
                 ],
-            );
-        }
-        if let Some(m) = &mut self.metrics {
-            m.reg
-                .observe(m.window_slack_ms, outcome.slack().as_millis_f64());
-        }
-        if let Some(tel) = &mut self.telemetry {
-            tel.record_outcome(
-                app,
-                outcome.completed_at,
-                outcome.slack().as_millis_f64(),
-                outcome.processing.total().as_millis_f64(),
             );
         }
         self.apps[app].outcomes.push(outcome);
@@ -1937,7 +1827,7 @@ mod tests {
                 r.ledger.total().as_microjoules(),
                 "{scheme}: folded span energy must equal the ledger total bitwise"
             );
-            assert_eq!(r.spans.total_weight, folded);
+            assert_eq!(r.trace.summary().total_weight, folded);
         }
     }
 
@@ -1963,44 +1853,35 @@ mod tests {
 
     #[test]
     fn metrics_report_matches_run_counters() {
+        // The metrics view folds its histograms over the trace: one
+        // `bytes` field per transfer span, one QoS event per window.
         let r = Scenario::new(Scheme::Baseline, vec![Box::new(Fake::stepish(AppId::A2))])
             .windows(2)
             .seed(7)
-            .with_metrics()
+            .with_trace()
             .run();
-        let m = r.metrics.as_ref().expect("metrics enabled");
-        assert_eq!(m.counter("iotse_core_interrupts_total"), Some(r.interrupts));
-        assert_eq!(
-            m.counter("iotse_core_sensor_reads_total"),
-            Some(r.sensor_reads)
-        );
-        assert_eq!(
-            m.counter("iotse_core_transfer_bytes_total"),
-            Some(r.bytes_transferred)
-        );
-        assert_eq!(m.counter("iotse_core_windows_completed_total"), Some(2));
-        assert_eq!(m.counter("iotse_core_qos_misses_total"), Some(0));
-        assert_eq!(
-            m.gauge("iotse_energy_total_microjoules"),
-            Some(r.ledger.total().as_microjoules())
-        );
-        // The transfer-size histogram saw every transfer.
-        let hist = m
-            .histograms
-            .iter()
-            .find(|h| h.name == "iotse_core_transfer_bytes")
-            .expect("transfer histogram");
-        assert_eq!(hist.count, 200);
-        assert_eq!(hist.sum, r.bytes_transferred as f64);
+        assert_eq!(r.windows_completed(), 2);
+        assert_eq!(r.qos_violations(), 0);
+        let sizes: Vec<u64> = r.transfer_sizes().collect();
+        assert_eq!(sizes.len(), 200);
+        assert_eq!(sizes.iter().sum::<u64>(), r.bytes_transferred);
+        let slack: Vec<f64> = r.qos_slack_ms().collect();
+        let outcomes = &r.apps[0].windows;
+        assert_eq!(slack.len(), 2);
+        for (s, w) in slack.iter().zip(outcomes) {
+            assert_eq!(s.to_bits(), w.slack().as_millis_f64().to_bits());
+        }
+        assert_eq!(r.telemetry_points(), None);
     }
 
     #[test]
     fn disabled_observability_adds_nothing() {
         let r = run(Scheme::Baseline, vec![Box::new(Fake::stepish(AppId::A2))]);
-        assert!(r.metrics.is_none());
-        assert_eq!(r.spans.spans, 0);
+        assert!(r.telemetry.is_none());
         assert!(r.trace.spans().is_empty());
         assert!(r.trace.events().is_empty());
+        assert_eq!(r.transfer_sizes().count(), 0);
+        assert_eq!(r.qos_slack_ms().count(), 0);
     }
 
     #[test]

@@ -4,10 +4,12 @@ use iotse_energy::attribution::{Breakdown, EnergyLedger};
 use iotse_energy::monitor::PowerTrace;
 use iotse_energy::units::{Energy, Power};
 use iotse_sim::time::{SimDuration, SimTime};
+use iotse_sim::trace::{FieldValue, Fields, TraceKind, TraceLog};
 
 use crate::cpu::{CpuPhase, CpuStats};
 use crate::mcu::{McuPhase, McuStats};
 use crate::scheme::Scheme;
+use crate::telemetry::APP_SERIES;
 use crate::workload::{AppId, AppOutput};
 
 /// Per-routine busy time (the Figure 8 stacked timing bars).
@@ -186,15 +188,9 @@ pub struct RunResult {
     pub cpu_timeline: Option<Vec<(SimTime, CpuPhase)>>,
     /// MCU phase timeline, if recording was enabled.
     pub mcu_timeline: Option<Vec<(SimTime, McuPhase)>>,
-    /// Aggregate shape of the recorded span tree (all-zero unless the
-    /// scenario ran with [`Scenario::with_trace`](crate::executor::Scenario::with_trace)).
-    pub spans: iotse_sim::trace::SpanSummary,
-    /// Stable-ordered metrics snapshot (`None` unless the scenario ran with
-    /// [`Scenario::with_metrics`](crate::executor::Scenario::with_metrics)).
-    pub metrics: Option<iotse_sim::metrics::MetricsReport>,
-    /// Windowed telemetry — per-routine energy stacks, per-app QoS series
-    /// and the streaming-detector alert stream (`None` unless the scenario
-    /// ran with [`Scenario::with_telemetry`](crate::executor::Scenario::with_telemetry)).
+    /// Windowed telemetry — per-routine energy stacks and the
+    /// streaming-detector alert stream (`None` unless the scenario ran with
+    /// [`Scenario::with_telemetry`](crate::executor::Scenario::with_telemetry)).
     pub telemetry: Option<crate::telemetry::Telemetry>,
     /// The structured execution trace (empty unless the scenario ran with
     /// [`Scenario::with_trace`](crate::executor::Scenario::with_trace)).
@@ -255,6 +251,53 @@ impl RunResult {
         self.apps.iter().map(AppRunReport::qos_violations).sum()
     }
 
+    /// Completed windows across apps.
+    #[must_use]
+    pub fn windows_completed(&self) -> usize {
+        self.apps.iter().map(|a| a.windows.len()).sum()
+    }
+
+    /// Stored telemetry series points: the energy stacks' plus one per
+    /// completed window in each of the [`APP_SERIES`] (`None` unless the
+    /// scenario ran with
+    /// [`Scenario::with_telemetry`](crate::executor::Scenario::with_telemetry)).
+    #[must_use]
+    pub fn telemetry_points(&self) -> Option<u64> {
+        let stacks = self.telemetry.as_ref()?.stacks.points_recorded();
+        Some(stacks + (APP_SERIES.len() * self.windows_completed()) as u64)
+    }
+
+    /// Payload bytes of each MCU→CPU transfer, in trace order: the `bytes`
+    /// field of every `iotse_core_transfer` span (empty unless the scenario
+    /// ran with [`Scenario::with_trace`](crate::executor::Scenario::with_trace)).
+    pub fn transfer_sizes(&self) -> impl Iterator<Item = u64> + '_ {
+        let trace = &self.trace;
+        trace
+            .spans()
+            .iter()
+            .filter(|s| trace.label(s.label) == "iotse_core_transfer")
+            .filter_map(|s| match field(trace, s.fields, "bytes") {
+                Some(FieldValue::U64(bytes)) => Some(bytes),
+                _ => None,
+            })
+    }
+
+    /// QoS slack in ms of each completed window, in completion order: the
+    /// `deadline` of every QoS event less the event's time, zero when the
+    /// deadline was missed (empty unless the scenario ran with
+    /// [`Scenario::with_trace`](crate::executor::Scenario::with_trace)).
+    pub fn qos_slack_ms(&self) -> impl Iterator<Item = f64> + '_ {
+        let trace = &self.trace;
+        trace
+            .of_kind(TraceKind::Qos)
+            .filter_map(|e| match field(trace, e.fields, "deadline") {
+                Some(FieldValue::Time(deadline)) => {
+                    Some(deadline.saturating_duration_since(e.time).as_millis_f64())
+                }
+                _ => None,
+            })
+    }
+
     /// Reconstructs the hub's total-power waveform (CPU + MCU envelope)
     /// from the recorded phase timelines — what the paper's Monsoon
     /// monitor would have seen. Returns `None` unless the scenario ran
@@ -296,6 +339,15 @@ impl RunResult {
         trace.finish(SimTime::ZERO + self.duration);
         Some(trace)
     }
+}
+
+/// The value of the field `name` among `fields` of `trace`.
+fn field(trace: &TraceLog, fields: Fields, name: &str) -> Option<FieldValue> {
+    trace
+        .fields(fields)
+        .iter()
+        .find(|&&(label, _)| trace.label(label) == name)
+        .map(|&(_, value)| value)
 }
 
 #[cfg(test)]

@@ -2,12 +2,15 @@
 //!
 //! When a scenario opts in ([`Scenario::with_telemetry`]), the executor
 //! records, at every window boundary, the per-routine energy stack
-//! ([`iotse_energy::stacks`]) and each app's per-window latency/QoS
-//! samples, and feeds every freshly closed window through streaming
-//! detectors ([`iotse_sim::timeseries`]) *online, in sim time*: one
-//! EWMA+CUSUM [`DriftDetector`] per routine plus an optional
-//! energy-budget [`BudgetWatchdog`] over the workload total. The result
-//! rides on [`RunResult::telemetry`] as a [`Telemetry`] payload.
+//! ([`iotse_energy::stacks`]), and feeds every freshly closed window
+//! through streaming detectors ([`iotse_sim::timeseries`]) *online, in
+//! sim time*: one EWMA+CUSUM [`DriftDetector`] per routine plus an
+//! optional energy-budget [`BudgetWatchdog`] over the workload total. The
+//! result rides on [`RunResult::telemetry`] as a [`Telemetry`] payload.
+//!
+//! Each app's per-window latency/QoS series is not recorded a second
+//! time: [`APP_SERIES`] derives it from the windows in
+//! [`RunResult::apps`].
 //!
 //! Determinism contract (tested byte-for-byte): telemetry is **off means
 //! off** — a run without `with_telemetry()` is bitwise identical to a
@@ -22,22 +25,35 @@
 //!
 //! [`Scenario::with_telemetry`]: crate::executor::Scenario::with_telemetry
 //! [`RunResult::telemetry`]: crate::result::RunResult::telemetry
+//! [`RunResult::apps`]: crate::result::RunResult::apps
 
 use iotse_energy::attribution::{EnergyLedger, Routine};
 use iotse_energy::stacks::{
     stack_series_name, EnergyStacks, RecordedWindow, STACK_ROUTINES, WORKLOAD_TOTAL_SERIES,
 };
 use iotse_sim::time::{SimDuration, SimTime};
-use iotse_sim::timeseries::{
-    Alert, AlertKind, BudgetWatchdog, DetectorConfig, DriftDetector, TimeSeries,
-};
+use iotse_sim::timeseries::{Alert, AlertKind, BudgetWatchdog, DetectorConfig, DriftDetector};
 
-use crate::workload::AppId;
+use crate::result::WindowOutcome;
 
 /// Per-app per-window slack series label.
 pub const APP_SLACK_SERIES: &str = "iotse_core_app_slack_ms";
 /// Per-app per-window processing-time series label.
 pub const APP_PROCESSING_SERIES: &str = "iotse_core_app_processing_ms";
+
+/// One value of an app series, read from a completed window.
+pub type WindowValue = fn(&WindowOutcome) -> f64;
+
+/// The per-app series of a telemetry run, each a label and its value for
+/// one completed window: QoS slack in ms (deadline − completion,
+/// saturating at zero) and total processing time in ms. A series has one
+/// point per [`WindowOutcome`] of an app, stamped at its completion.
+pub const APP_SERIES: [(&str, WindowValue); 2] = [
+    (APP_SLACK_SERIES, |w| w.slack().as_millis_f64()),
+    (APP_PROCESSING_SERIES, |w| {
+        w.processing.total().as_millis_f64()
+    }),
+];
 
 /// Tuning for the executor's windowed telemetry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,28 +84,12 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// One app's per-window latency/QoS series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppSeries {
-    /// The Table II app.
-    pub id: AppId,
-    /// The app's display name.
-    pub name: String,
-    /// Per completed window: QoS slack in ms (deadline − completion,
-    /// saturating at zero), stamped at completion time.
-    pub slack_ms: TimeSeries,
-    /// Per completed window: total processing time in ms.
-    pub processing_ms: TimeSeries,
-}
-
 /// The windowed-telemetry payload carried on a `RunResult`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Telemetry {
     /// Per-routine windowed energy stacks (exact; see
     /// [`iotse_energy::stacks`]).
     pub stacks: EnergyStacks,
-    /// Per-app latency/QoS series, in scenario app order.
-    pub apps: Vec<AppSeries>,
     /// Every alert the online detectors emitted, in evaluation order
     /// (window-major, [`Routine::ALL`] order within a window, watchdog
     /// last).
@@ -100,17 +100,6 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Total stored series points (energy stacks + app series).
-    #[must_use]
-    pub fn points_recorded(&self) -> u64 {
-        self.stacks.points_recorded()
-            + self
-                .apps
-                .iter()
-                .map(|a| (a.slack_ms.len() + a.processing_ms.len()) as u64)
-                .sum::<u64>()
-    }
-
     /// Number of drift alerts.
     #[must_use]
     pub fn drift_alerts(&self) -> usize {
@@ -161,30 +150,13 @@ pub(crate) struct TelemetryState {
     stacks: EnergyStacks,
     detectors: [DriftDetector; STACK_ROUTINES],
     watchdog: Option<BudgetWatchdog>,
-    apps: Vec<AppSeries>,
     alerts: Vec<Alert>,
     detector_evals: u64,
 }
 
 impl TelemetryState {
-    /// `apps` carries `(id, display name)` per scenario app, in order.
-    pub(crate) fn new(
-        cfg: &TelemetryConfig,
-        base: SimDuration,
-        windows: u32,
-        apps: Vec<(AppId, String)>,
-    ) -> Self {
-        let app_series = apps
-            .into_iter()
-            .map(|(id, name)| AppSeries {
-                id,
-                name,
-                // lint: one-time construction at scenario setup; both
-                // series are preallocated to the run's window count
-                slack_ms: TimeSeries::with_capacity(APP_SLACK_SERIES, windows as usize),
-                processing_ms: TimeSeries::with_capacity(APP_PROCESSING_SERIES, windows as usize),
-            })
-            .collect();
+    /// Stacks on a `base` grid of `windows` windows.
+    pub(crate) fn new(cfg: &TelemetryConfig, base: SimDuration, windows: u32) -> Self {
         // Each detector fires at most once per window, so this capacity
         // is exact and the alert buffer never grows on the hot path.
         let max_alerts = windows as usize * (STACK_ROUTINES + 1);
@@ -192,7 +164,6 @@ impl TelemetryState {
             stacks: EnergyStacks::new(base, windows),
             detectors: std::array::from_fn(|_| DriftDetector::new(cfg.detector)),
             watchdog: cfg.window_budget_uj.map(BudgetWatchdog::new),
-            apps: app_series,
             // lint: one-time construction at scenario setup, sized to the
             // worst-case alert count (one per detector per window)
             alerts: Vec::with_capacity(max_alerts),
@@ -210,21 +181,6 @@ impl TelemetryState {
         }
     }
 
-    /// Appends one completed window to `app`'s latency/QoS series.
-    /// Allocation-free; runs on the executor's tick hot path.
-    // iotse-lint: hot-path
-    pub(crate) fn record_outcome(
-        &mut self,
-        app: usize,
-        completed_at: SimTime,
-        slack_ms: f64,
-        processing_ms: f64,
-    ) {
-        let series = &mut self.apps[app];
-        series.slack_ms.push(completed_at, slack_ms);
-        series.processing_ms.push(completed_at, processing_ms);
-    }
-
     /// Force-closes every remaining window (the final one with the exact
     /// ulp residual) and seals the payload.
     pub(crate) fn close(mut self, ledger: &EnergyLedger) -> Telemetry {
@@ -233,7 +189,6 @@ impl TelemetryState {
         }
         Telemetry {
             stacks: self.stacks,
-            apps: self.apps,
             alerts: self.alerts,
             detector_evals: self.detector_evals,
         }
@@ -287,12 +242,7 @@ mod tests {
             window_budget_uj: budget,
             ..TelemetryConfig::default()
         };
-        TelemetryState::new(
-            &cfg,
-            SimDuration::from_secs(1),
-            windows,
-            vec![(AppId::A2, "step counter".to_string())],
-        )
+        TelemetryState::new(&cfg, SimDuration::from_secs(1), windows)
     }
 
     #[test]
@@ -389,20 +339,11 @@ mod tests {
     fn evals_and_points_count_exactly() {
         let mut ledger = EnergyLedger::new();
         ledger.charge(Device::Cpu, Routine::Idle, Energy::from_microjoules(1.0));
-        let mut tel = state(3, Some(1e9));
-        tel.record_outcome(0, SimTime::from_millis(900), 100.0, 12.5);
+        let tel = state(3, Some(1e9));
         let out = tel.close(&ledger);
         // 3 windows x (5 detectors + 1 watchdog).
         assert_eq!(out.detector_evals, 18);
-        // 3 windows x 5 stack series + 1 outcome x 2 app series.
-        assert_eq!(out.points_recorded(), 17);
-        assert_eq!(
-            out.apps[0].slack_ms.points(),
-            &[(SimTime::from_millis(900), 100.0)]
-        );
-        assert_eq!(
-            out.apps[0].processing_ms.points(),
-            &[(SimTime::from_millis(900), 12.5)]
-        );
+        // 3 windows x 5 stack series.
+        assert_eq!(out.stacks.points_recorded(), 15);
     }
 }

@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use iotse_sim::metrics::MetricsRegistry;
-
 use crate::units::Energy;
 
 /// The hardware component that spent the energy.
@@ -227,36 +225,6 @@ impl EnergyLedger {
                 .into_iter()
                 .filter_map(move |r| self.cells[d.index()][r.index()].map(|e| (d, r, e)))
         })
-    }
-
-    /// Publishes the ledger as `iotse_energy_*` gauges (microjoules): the
-    /// grand total plus one gauge per device and per routine. Names are
-    /// static literals so the metric surface is greppable and checked by
-    /// lint rule IOTSE-M09.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        let total = reg.gauge("iotse_energy_total_microjoules");
-        reg.set_gauge(total, self.total().as_microjoules());
-        for device in Device::ALL {
-            let name = match device {
-                Device::Cpu => "iotse_energy_device_cpu_microjoules",
-                Device::Mcu => "iotse_energy_device_mcu_microjoules",
-                Device::Link => "iotse_energy_device_link_microjoules",
-                Device::Sensor => "iotse_energy_device_sensor_microjoules",
-            };
-            let g = reg.gauge(name);
-            reg.set_gauge(g, self.device_total(device).as_microjoules());
-        }
-        for routine in Routine::ALL {
-            let name = match routine {
-                Routine::DataCollection => "iotse_energy_routine_data_collection_microjoules",
-                Routine::Interrupt => "iotse_energy_routine_interrupt_microjoules",
-                Routine::DataTransfer => "iotse_energy_routine_data_transfer_microjoules",
-                Routine::AppCompute => "iotse_energy_routine_app_compute_microjoules",
-                Routine::Idle => "iotse_energy_routine_idle_microjoules",
-            };
-            let g = reg.gauge(name);
-            reg.set_gauge(g, self.routine_total(routine).as_microjoules());
-        }
     }
 }
 

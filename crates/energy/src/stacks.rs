@@ -34,8 +34,8 @@ use crate::attribution::{EnergyLedger, Routine};
 pub const STACK_ROUTINES: usize = Routine::ALL.len();
 
 /// The static series label for one routine's windowed energy stack.
-/// Names follow the `iotse_<crate>_<snake>` convention checked by lint
-/// rule `IOTSE-M09` for registered metrics.
+/// Names follow the `iotse_<crate>_<snake>` convention that lint rule
+/// `IOTSE-M09` checks on exported metric names.
 #[must_use]
 pub fn stack_series_name(routine: Routine) -> &'static str {
     match routine {

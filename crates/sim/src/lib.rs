@@ -10,8 +10,6 @@
 //!   integer-nanosecond clock types.
 //! * [`queue`] — the pending-event set with deterministic FIFO tie-breaking.
 //! * [`engine`] — the [`Engine`] execution loop.
-//! * [`metrics`] — deterministic registry of named counters, gauges and
-//!   fixed-bucket histograms, snapshotable to a stable-ordered report.
 //! * [`trace`] — structured execution traces: hierarchical spans with typed
 //!   fields (used for the paper's Figure 5 timelines and the energy
 //!   flamegraph fold).
@@ -61,7 +59,6 @@ pub mod engine;
 pub mod faults;
 pub mod hash;
 pub mod memo;
-pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod time;
@@ -70,7 +67,6 @@ pub mod trace;
 
 pub use engine::{Engine, RunOutcome};
 pub use faults::{FaultKind, FaultPlan, FaultScript, FaultStats};
-pub use metrics::{MetricsRegistry, MetricsReport};
 pub use rng::SeedTree;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanId, TraceKind, TraceLog};
