@@ -394,8 +394,7 @@ pub fn prometheus(result: &RunResult) -> String {
         w.counter("iotse_core_telemetry_points_total", points);
     }
     w.counter("iotse_core_transfer_bytes_total", result.bytes_transferred);
-    let windows = result.windows_completed() as u64;
-    w.counter("iotse_core_windows_completed_total", windows);
+    w.counter("iotse_core_windows_completed_total", result.windows_completed() as u64);
 
     let ledger = &result.ledger;
     let device = |d| ledger.device_total(d).as_microjoules();

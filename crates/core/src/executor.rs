@@ -153,8 +153,8 @@ impl Scenario {
         self
     }
 
-    /// Records windowed telemetry (per-routine energy stacks, per-app
-    /// QoS series, streaming drift detectors) with the default
+    /// Records windowed telemetry (per-routine energy stacks and
+    /// streaming drift detectors) with the default
     /// [`TelemetryConfig`]. Off by default, and off means off: a run
     /// without telemetry is bitwise identical to one on a build without
     /// the telemetry layer.

@@ -23,8 +23,9 @@
 //! * [`runner`] — the scenario fleet runner: fans independent scenarios
 //!   across OS threads with deterministic, submission-ordered results.
 //! * [`telemetry`] — windowed telemetry: per-window/per-routine energy
-//!   stacks, per-app QoS series and streaming EWMA/CUSUM drift alerts,
-//!   recorded at window boundaries when a scenario opts in.
+//!   stacks and streaming EWMA/CUSUM drift alerts, recorded at window
+//!   boundaries when a scenario opts in, plus the per-app QoS series read
+//!   from a result's windows.
 //! * [`robustness`] — the committed demo fault storm
 //!   ([`robustness::demo_scripts`], `faults = "demo"` in scenario files).
 //! * [`scenario_spec`] — the declarative scenario language: `scenarios/*.toml`

@@ -1,11 +1,10 @@
 //! `IOTSE-M09` — metric and span labels follow `iotse_<crate>_<name>`.
 //!
-//! The observability layer aggregates metrics across runs and folds span
-//! stacks across crates; both only stay mergeable and greppable if every
-//! registration site uses the shared naming scheme. The rule inspects each
-//! string literal passed at a registration call site — `enter_span(..)`,
-//! `span_label(..)`, `.counter("..")`, `.gauge("..")`,
-//! `.histogram("..", ..)` — and requires
+//! The observability layer exports metrics and folds span stacks across
+//! crates; both only stay greppable if every naming site uses the shared
+//! scheme. The rule inspects each string literal on the line of a naming
+//! call — `enter_span(..)`, `span_label(..)`, `.counter("..")`,
+//! `.gauge("..")`, `.histogram("..", ..)` — and requires
 //! `iotse_<crate>_<snake_case>` where `<crate>` is one of the workspace
 //! crates. Lookup helpers share the method names, so well-named lookups are
 //! checked for free; lines without a string literal (definitions,

@@ -204,8 +204,8 @@ pub struct TraceEvent {
     pub fields: Fields,
 }
 
-/// Aggregate shape of a recorded span tree — cheap to compare and to carry
-/// in a `RunResult` without cloning the whole log.
+/// Aggregate shape of a recorded span tree, cheap to compare; see
+/// [`TraceLog::summary`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpanSummary {
     /// Number of spans recorded.
