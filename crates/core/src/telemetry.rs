@@ -36,11 +36,6 @@ use iotse_sim::timeseries::{Alert, AlertKind, BudgetWatchdog, DetectorConfig, Dr
 
 use crate::result::WindowOutcome;
 
-/// Per-app per-window slack series label.
-pub const APP_SLACK_SERIES: &str = "iotse_core_app_slack_ms";
-/// Per-app per-window processing-time series label.
-pub const APP_PROCESSING_SERIES: &str = "iotse_core_app_processing_ms";
-
 /// One value of an app series, read from a completed window.
 pub type WindowValue = fn(&WindowOutcome) -> f64;
 
@@ -49,8 +44,8 @@ pub type WindowValue = fn(&WindowOutcome) -> f64;
 /// saturating at zero) and total processing time in ms. A series has one
 /// point per [`WindowOutcome`] of an app, stamped at its completion.
 pub const APP_SERIES: [(&str, WindowValue); 2] = [
-    (APP_SLACK_SERIES, |w| w.slack().as_millis_f64()),
-    (APP_PROCESSING_SERIES, |w| {
+    ("iotse_core_app_slack_ms", |w| w.slack().as_millis_f64()),
+    ("iotse_core_app_processing_ms", |w| {
         w.processing.total().as_millis_f64()
     }),
 ];
