@@ -275,6 +275,7 @@ impl RunResult {
         trace
             .spans()
             .iter()
+            .filter(|s| s.kind == TraceKind::DataTransfer)
             .filter(|s| trace.label(s.label) == "iotse_core_transfer")
             .filter_map(|s| match field(trace, s.fields, "bytes") {
                 Some(FieldValue::U64(bytes)) => Some(bytes),
